@@ -3,10 +3,11 @@
 Reproduces the numbers recorded in ``BENCH_substrate.json``: the
 n = 256 → 10⁴ build trajectory of the lazy substrate under the landmark
 name-independent scheme on a preferential-attachment graph — build
-seconds (graph / metric / scheme split), full Dijkstra rows
-materialized, ``tracemalloc`` peak and process RSS high water, average
-stretch on a fixed pair sample — plus a dense-vs-lazy head-to-head at
-n = 256 where both strategies are buildable.
+seconds (graph / metric / scheme split, untraced), full Dijkstra rows
+materialized, ``tracemalloc`` peak of metric + scheme construction
+(from a second, untimed build, as E19) and process RSS high water, average stretch on a fixed pair sample — plus a
+dense-vs-lazy head-to-head at n = 256 where both strategies are
+buildable.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_substrate.py``
 (writes ``BENCH_substrate.json``; ~1-2 minutes, dominated by the
@@ -15,9 +16,10 @@ invariants only, no wall-clock assertions —
 
 * lazy answers (distances, balls, next hops) bit-identical to dense on
   a sampled grid of queries at n = 256;
-* the landmark scheme builds and routes at n = 2048 with
-  ``rows_materialized`` a small fraction of n (the acceptance counter
-  behind "never materialize the dense matrix");
+* the landmark scheme builds at n = 2048 materializing exactly one
+  full row per landmark, and routes with ``rows_materialized`` a small
+  fraction of n (the acceptance counter behind "never materialize the
+  dense matrix");
 * a 4 MiB row budget is respected (evictions occur, stored bytes stay
   under budget) with answers unchanged.
 """
@@ -27,11 +29,11 @@ from __future__ import annotations
 import resource
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 
 from _runner import run
+from repro.experiments.scale import traced_build_peak
 from repro.graphs.generators import preferential_attachment, random_geometric
 from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.sampling import sample_ordered_pairs
@@ -49,7 +51,6 @@ def _rss_bytes() -> int:
 
 def measure_point(n: int, strategy: str = "lazy") -> dict:
     """One trajectory point: build + route at size ``n``."""
-    tracemalloc.start()
     t0 = time.perf_counter()
     graph = preferential_attachment(n, m=2, seed=1)
     t1 = time.perf_counter()
@@ -57,14 +58,12 @@ def measure_point(n: int, strategy: str = "lazy") -> dict:
     t2 = time.perf_counter()
     scheme = LandmarkNameIndependentScheme(metric)
     t3 = time.perf_counter()
-    _, traced_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
     build_stats = dict(metric.substrate_stats())
     stretches = [
         scheme.route(u, v).stretch
         for u, v in sample_ordered_pairs(n, PAIRS, seed=0)
     ]
-    return {
+    point = {
         "n": n,
         "strategy": metric.strategy,
         "graph_seconds": round(t1 - t0, 3),
@@ -77,13 +76,18 @@ def measure_point(n: int, strategy: str = "lazy") -> dict:
         ),
         "bounded_searches": int(build_stats["bounded_searches"]),
         "stored_bytes": int(build_stats["stored_bytes"]),
-        "traced_peak_bytes": int(traced_peak),
         "rss_high_water_bytes": _rss_bytes(),
         "avg_stretch": round(float(np.mean(stretches)), 4),
         "max_stretch": round(float(np.max(stretches)), 4),
         "avg_table_bits": int(scheme.total_table_bits() / n),
         "dense_matrix_bytes_hypothetical": int(n * n * (8 + 4)),
     }
+    # Drop the timed build first, so the traced one never stacks on it.
+    del graph, metric, scheme
+    point["traced_peak_bytes"] = traced_build_peak(
+        preferential_attachment(n, m=2, seed=1), strategy
+    )
+    return point
 
 
 def landmark_sweep_row() -> dict:
@@ -125,7 +129,8 @@ def measure() -> dict:
         "trajectory": points,
         "head_to_head_n256": head_to_head,
         "note": (
-            "rows_materialized counts full Dijkstra rows ever solved; "
+            "rows_materialized counts full rows installed in the row "
+            "store (batched vicinity searches never enter it); "
             "dense_matrix_bytes_hypothetical is what the eager APSP "
             "(float64 dist + int32 pred) would allocate at that n"
         ),
@@ -157,6 +162,12 @@ def check() -> None:
         preferential_attachment(n, m=2, seed=1), strategy="lazy"
     )
     scheme = LandmarkNameIndependentScheme(metric)
+    built = int(metric.substrate_stats()["rows_materialized"])
+    assert built == len(scheme.landmarks), (
+        f"landmark build materialized {built} rows, expected one per "
+        f"landmark ({len(scheme.landmarks)}); vicinity searches must "
+        "never enter the row store"
+    )
     for u, v in sample_ordered_pairs(n, 50, seed=0):
         result = scheme.route(u, v)
         assert result.path[-1] == v

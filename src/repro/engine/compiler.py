@@ -701,7 +701,7 @@ def _compile_nameind_sf(scheme) -> CompiledTables:
 def _compile_landmark(scheme) -> CompiledTables:
     """The Internet-scale scheme: compiled purely from existing arrays.
 
-    No dense LUTs — the landmark/predecessor matrices and vicinity maps
+    No dense LUTs — the landmark/predecessor matrices and vicinity arrays
     the scheme already holds are the whole table set, so compilation
     preserves the lazy substrate's rows-materialized ≪ n invariant.
     """
@@ -723,18 +723,20 @@ def _compile_landmark(scheme) -> CompiledTables:
             dir_home[name] = home
     landmarks = np.asarray(scheme._landmarks, dtype=np.int64)
     names = np.arange(n, dtype=np.int64)
-    # Vicinity CSR: global sorted key u*n + name.
-    vic_keys: List[int] = []
-    vic_tgt: List[int] = []
-    vic_home: List[int] = []
-    vic_hop: List[int] = []
-    for u in metric.nodes:
-        for name in sorted(scheme._vicinity[u]):
-            v, home, hop, _ = scheme._vicinity[u][name]
-            vic_keys.append(u * n + name)
-            vic_tgt.append(v)
-            vic_home.append(home)
-            vic_hop.append(hop)
+    # Vicinity CSR: global sorted key u*n + name, straight from the
+    # scheme's (n, size - 1) member / first-hop arrays.
+    vic_names = name_of[scheme._vic_members]
+    by_name = np.argsort(vic_names, axis=1)
+    vic_keys = (
+        np.arange(n, dtype=np.int64)[:, None] * n
+        + np.take_along_axis(vic_names, by_name, axis=1)
+    ).ravel()
+    vic_tgt = np.take_along_axis(scheme._vic_members, by_name, axis=1).ravel()
+    vic_hop = np.take_along_axis(scheme._vic_hops, by_name, axis=1).ravel()
+    vic_home = np.asarray(scheme._home, dtype=np.int64)[vic_tgt]
+    if vic_keys.size == 0:
+        vic_keys = np.full(1, -1, dtype=np.int64)
+        vic_tgt = vic_home = vic_hop = np.zeros(1, dtype=np.int64)
     arrays = {
         **_edge_tables(metric),
         "NAMEOF": name_of,
@@ -745,10 +747,10 @@ def _compile_landmark(scheme) -> CompiledTables:
         "DIR_ROW": names % k,
         "DIR_NODE": dir_node,
         "DIR_HOME": dir_home,
-        "VIC_KEY": np.asarray(vic_keys or [-1], dtype=np.int64),
-        "VIC_TGT": np.asarray(vic_tgt or [0], dtype=np.int64),
-        "VIC_HOME": np.asarray(vic_home or [0], dtype=np.int64),
-        "VIC_HOP": np.asarray(vic_hop or [0], dtype=np.int64),
+        "VIC_KEY": vic_keys,
+        "VIC_TGT": vic_tgt,
+        "VIC_HOME": vic_home,
+        "VIC_HOP": vic_hop,
     }
     return CompiledTables(
         kind="landmark",

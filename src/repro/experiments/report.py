@@ -378,8 +378,8 @@ def generate(
         "on demand instead of paying the Θ(n²) APSP up front, which\n"
         "opens sizes the dense matrix cannot reach.  The landmark\n"
         "name-independent scheme (Krioukov–Fall–Yang regime, see\n"
-        "PAPERS.md) builds from √n full rows plus one size-bounded\n"
-        "vicinity search per node:\n\n"
+        "PAPERS.md) builds from √n full rows plus size-bounded\n"
+        "vicinity searches, batched over chunks of source nodes:\n\n"
         + _block(e19) + "\n" + _block(e19b) +
         "\n**Reading:** rows materialized stays ≈ √n ≪ n at every\n"
         "size — `python -m repro scale --sizes 256,2048,10000` extends\n"

@@ -180,8 +180,11 @@ class GraphMetric:
 
         Dense metrics report ``rows_materialized = n`` (the eager APSP
         materializes everything up front); lazy metrics report exactly
-        the full rows ever solved — the acceptance counter behind
-        "builds at n = 10⁴ with rows materialized ≪ n".
+        the full rows installed in the row store — the acceptance
+        counter behind "builds at n = 10⁴ with rows materialized ≪ n".
+        ``bounded_searches`` counts every single-source search, each
+        source of a batched :meth:`size_balls` chunk and each of its
+        retries included; those searches never enter the store.
         """
         return self._strategy.stats()
 
@@ -610,6 +613,36 @@ class GraphMetric:
             raise ValueError(f"size must be in [1, {self._n}], got {size}")
         radius = self._strategy.size_radius(u, size)
         return radius, [int(x) for x in self._strategy.size_ball(u, size)]
+
+    def size_balls(
+        self, size: int, sources: Optional[Sequence[NodeId]] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Size-balls of many sources at once, with distances and first hops.
+
+        Returns three ``(len(sources), size)`` arrays (``sources``
+        defaults to every node): row ``i`` holds ``size_ball(s, size)``
+        for ``s = sources[i]`` in ``(distance, id)`` order, the matching
+        ``distance(s, ·)`` values, and ``next_hop(s, ·)`` toward each
+        member — column 0 is ``s`` itself, its own first hop.  Every
+        entry equals the per-node queries bit for bit.
+
+        The lazy strategy answers with chunked multi-source bounded
+        searches whose rows never enter the row store (they count
+        toward ``bounded_searches``, never ``rows_materialized``); the
+        dense strategy slices its matrices.  Both share one vectorized
+        post-processing pass.
+        """
+        if not 1 <= size <= self._n:
+            raise ValueError(f"size must be in [1, {self._n}], got {size}")
+        if sources is None:
+            index = np.arange(self._n, dtype=np.int64)
+        else:
+            index = np.asarray(sources, dtype=np.int64).reshape(-1)
+            if index.size and not (
+                0 <= int(index.min()) and int(index.max()) < self._n
+            ):
+                raise ValueError(f"sources must be node ids in [0, {self._n})")
+        return self._strategy.size_balls(index, size)
 
     def r_u(self, u: NodeId, j: int) -> float:
         """The paper's ``r_u(j)``: radius of the size-``2^j`` ball at u.

@@ -21,6 +21,12 @@ This module provides the two interchangeable strategies behind the
   beyond the queried ball, so ``ball`` / ``ball_size`` / ``size_radius``
   / ``r_u`` / ``nearest_in`` never materialize a full row.
 
+Both strategies also answer ``size_balls`` — many sources' size-balls,
+distances and first hops at once — through one vectorized pass
+(:func:`_ball_prefix`): the lazy strategy feeds it chunked multi-source
+bounded searches that bypass the row store, the dense one slices of its
+matrices.
+
 Bit-identity between the strategies rests on a property of Dijkstra
 with a radius cutoff: every node settled by a bounded run carries
 exactly the distance *and predecessor* the unbounded run assigns it,
@@ -259,6 +265,79 @@ def _first_hops(
             hops[x] = first
 
 
+def _empty_balls(
+    count: int, size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized ``(members, distances, first hops)`` outputs."""
+    return (
+        np.empty((count, size), dtype=np.int64),
+        np.empty((count, size), dtype=np.float64),
+        np.empty((count, size), dtype=np.int64),
+    )
+
+
+def _rank(row_of: np.ndarray, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank of each entry within its row's run, and the per-row counts.
+
+    ``row_of`` must be ascending (one contiguous run per row).
+    """
+    count = np.bincount(row_of, minlength=rows)
+    start = np.cumsum(count) - count
+    return np.arange(row_of.shape[0]) - start[row_of], count
+
+
+def _ball_prefix(
+    dist: np.ndarray, pred: np.ndarray, size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Size-balls of a block of SSSP rows, vectorized over the rows.
+
+    ``dist``/``pred`` are ``(b, n)`` rows of ``b`` sources (``inf``
+    where unsettled), each settling at least ``size`` nodes.  Returns
+    ``(b, size)`` arrays: each source's ``size`` nearest nodes in
+    ``(distance, id)`` order, their distances, and the first hop of the
+    canonical path toward each (the source itself in column 0).
+
+    A bounded search settles every node within its limit, so the
+    ``size`` nearest settled nodes are the ``size`` nearest overall:
+    every node strictly inside the size-radius, then the least ids at
+    exactly that radius.  Weights are positive, so every member's
+    predecessor is strictly closer and sits earlier in the prefix: first
+    hops follow by pointer doubling over prefix positions, the
+    vectorized form of the ``_first_hops`` chain walk.
+    """
+    rows = dist.shape[0]
+    radius = np.partition(dist, size - 1, axis=1)[:, size - 1 : size]
+    members = np.empty((rows, size), dtype=np.int64)
+    # ``np.nonzero`` walks row-major, so each row's hits are one
+    # contiguous run in ascending id order; ``_rank`` numbers them.
+    inner_row, inner_id = np.nonzero(dist < radius)
+    inner_dist = dist[inner_row, inner_id]
+    order = np.lexsort((inner_id, inner_dist, inner_row))
+    inner_row, inner_id = inner_row[order], inner_id[order]
+    inner_rank, inner_count = _rank(inner_row, rows)
+    members[inner_row, inner_rank] = inner_id
+    tie_row, tie_id = np.nonzero(dist == radius)
+    tie_rank = _rank(tie_row, rows)[0] + inner_count[tie_row]
+    keep = tie_rank < size
+    members[tie_row[keep], tie_rank[keep]] = tie_id[keep]
+    distances = np.take_along_axis(dist, members, axis=1)
+
+    block = np.arange(rows)[:, None]
+    position = np.empty(dist.shape, dtype=np.int32)
+    position[block, members] = np.arange(size)
+    parent = position[block, pred[block, members[:, 1:]]]
+    # up[j] is j's ancestor candidate; nodes whose parent is the source
+    # (position 0) are their own first hop, and the source points home.
+    up = np.broadcast_to(np.arange(size), (rows, size)).copy()
+    up[:, 1:] = np.where(parent == 0, up[:, 1:], parent)
+    while True:
+        jumped = np.take_along_axis(up, up, axis=1)
+        if np.array_equal(jumped, up):
+            break
+        up = jumped
+    return members, distances, np.take_along_axis(members, up, axis=1)
+
+
 class DenseStrategy:
     """Eager full-matrix APSP — the pre-refactor behavior, verbatim.
 
@@ -379,6 +458,17 @@ class DenseStrategy:
             pred = self._pred[u]
             _first_hops(u, range(self._n), lambda x: int(pred[x]), hops)
         return hops[v]
+
+    def size_balls(
+        self, sources: np.ndarray, size: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        out = _empty_balls(sources.shape[0], size)
+        for lo in range(0, sources.shape[0], _ROW_CHUNK):
+            chunk = sources[lo : lo + _ROW_CHUNK]
+            block = _ball_prefix(self._dist[chunk], self._pred[chunk], size)
+            for array, part in zip(out, block):
+                array[lo : lo + _ROW_CHUNK] = part
+        return out
 
     # -- maintenance ----------------------------------------------------
 
@@ -665,6 +755,53 @@ class LazyStrategy:
             # walk stays within the entry.
             _first_hops(u, (v,), lambda x: entry.lookup(x)[1], hops)
         return hops[v]
+
+    def size_balls(
+        self, sources: np.ndarray, size: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Chunked size-bounded searches; nothing enters the row store.
+
+        One multi-source bounded Dijkstra per chunk of sources; the
+        sources whose ball is not yet full re-run at double the limit.
+        Each chunk starts at the size-radius that covered 90% of the
+        previous chunk (the first at the size-class hint).  The largest
+        radius would spare the last few retries, but on power-law graphs
+        one hub-far source would make every later search settle most of
+        the graph; the 90th percentile keeps a sweep over all nodes near
+        one small search per source.
+        """
+        out = _empty_balls(sources.shape[0], size)
+        members, dists, hops = out
+        bucket = int(size).bit_length()
+        start = max(self._size_hints.get(bucket, 1.0), 1.0)
+        for lo in range(0, sources.shape[0], _ROW_CHUNK):
+            pending = np.arange(lo, min(lo + _ROW_CHUNK, sources.shape[0]))
+            limit = start
+            while pending.size:
+                self.bounded_searches += pending.size
+                dist, pred = dijkstra(
+                    self._matrix,
+                    directed=False,
+                    indices=sources[pending],
+                    return_predecessors=True,
+                    limit=limit,
+                )
+                full = np.count_nonzero(np.isfinite(dist), axis=1) >= size
+                done = pending[full]
+                if done.size:
+                    # A boolean mask copies; a full slice is a view.
+                    rows = slice(None) if done.size == pending.size else full
+                    members[done], dists[done], hops[done] = _ball_prefix(
+                        dist[rows], pred[rows], size
+                    )
+                pending = pending[~full]
+                limit *= 2.0
+            radii = dists[lo : lo + _ROW_CHUNK, -1]
+            start = max(float(np.quantile(radii, 0.9)), 1.0)
+            self._size_hints[bucket] = max(
+                self._size_hints.get(bucket, 1.0), float(radii.max())
+            )
+        return out
 
     # -- maintenance ----------------------------------------------------
 

@@ -52,7 +52,8 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v3: XOR-aggregated content keys + dependency-tracked invalidation.
 #: v4: strategy-tagged metric cache keys; lazy metrics pickle only their
 #: materialized rows (partial search state is recomputed on demand).
-CACHE_FORMAT_VERSION = 4
+#: v5: landmark schemes carry the vicinity arrays their compiler reads.
+CACHE_FORMAT_VERSION = 5
 
 
 @dataclasses.dataclass
@@ -630,7 +631,7 @@ class BuildContext:
         digest of the scheme's instance-level identity (naming
         permutation, landmark set) so two same-class schemes with
         different namings never share compiled artifacts.  Lives under
-        the ``engine`` artifact kind of the v4 key scheme, so disk
+        the ``engine`` artifact kind of the cache key scheme, so disk
         caching and ``apply_edit`` invalidation come for free.
         """
         cls_name = (

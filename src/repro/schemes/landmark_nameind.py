@@ -11,9 +11,13 @@ Internet-like topologies even though its worst-case guarantee is weak.
 
 :class:`LandmarkNameIndependentScheme` reproduces that observation with
 a construction whose preprocessing touches only ``k ≈ √n`` full metric
-rows (the landmarks) plus one *size-bounded* vicinity search per node —
-it is the scheme the substrate's rows-materialized ≪ n acceptance
-criterion is asserted against:
+rows (the landmarks) plus *size-bounded* vicinity searches — one
+:meth:`GraphMetric.size_balls` call, which runs them in chunks of
+sources as multi-source bounded Dijkstra and derives every first hop
+from the chunk's predecessor rows in vectorized passes.  Those chunk
+rows never enter the row store, so this is the scheme the substrate's
+rows-materialized ≪ n acceptance criterion is asserted against (a build
+materializes exactly the ``k`` landmark rows):
 
 * **Landmarks** ``L`` (``k = ⌈√n⌉``): farthest-point greedy.  Every
   node stores its parent in each landmark's shortest-path tree
@@ -128,24 +132,33 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
     ) -> List[Dict[int, Tuple[NodeId, NodeId, NodeId, float]]]:
         """Per node: name -> (member, member's home, next hop, distance).
 
-        One size-bounded search per node — never a full row.
+        One batched size-bounded search over all nodes — never a full
+        row.  The ``(n, size - 1)`` member and first-hop arrays (each
+        node's own column dropped) are kept for the compiler; the
+        per-node dicts are what routing reads.
         """
-        metric = self._metric
-        vicinities: List[Dict[int, Tuple[NodeId, NodeId, NodeId, float]]] = []
-        for u in metric.nodes:
-            _, members = metric.size_ball_with_radius(u, size)
-            entry: Dict[int, Tuple[NodeId, NodeId, NodeId, float]] = {}
-            for v in members:
-                if v == u:
-                    continue
-                entry[self.name_of(v)] = (
-                    v,
-                    self._home[v],
-                    metric.next_hop(u, v),
-                    metric.distance(u, v),
+        members, dists, hops = self._metric.size_balls(size)
+        self._vic_members = members[:, 1:]
+        self._vic_hops = hops[:, 1:]
+        dists = dists[:, 1:]
+        names = np.asarray(self._name_of, dtype=np.int64)[self._vic_members]
+        homes = np.asarray(self._home, dtype=np.int64)[self._vic_members]
+        # Row by row, so only one row's python objects exist beyond the
+        # dicts themselves.
+        return [
+            dict(
+                zip(
+                    names[u].tolist(),
+                    zip(
+                        self._vic_members[u].tolist(),
+                        homes[u].tolist(),
+                        self._vic_hops[u].tolist(),
+                        dists[u].tolist(),
+                    ),
                 )
-            vicinities.append(entry)
-        return vicinities
+            )
+            for u in range(self._metric.n)
+        ]
 
     def _build_directory(self) -> List[Dict[int, Tuple[NodeId, NodeId]]]:
         """Per landmark index: name -> (node, home landmark)."""
@@ -159,25 +172,24 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
         return directory
 
     def _max_tree_depth(self) -> int:
-        """Max hop-depth over all landmark trees (header suffix bound)."""
-        depth_max = 0
-        n = self._metric.n
-        for row in self._landmark_pred:
-            depth = np.zeros(n, dtype=np.int64)
-            seen = np.zeros(n, dtype=bool)
-            for v in range(n):
-                chain = []
-                x = v
-                while not seen[x] and row[x] >= 0:
-                    chain.append(x)
-                    x = int(row[x])
-                base = depth[x]
-                for i, node in enumerate(reversed(chain), start=1):
-                    depth[node] = base + i
-                    seen[node] = True
-                seen[x] = True
-            depth_max = max(depth_max, int(depth.max()))
-        return depth_max
+        """Max hop-depth over all landmark trees (header suffix bound).
+
+        Pointer doubling over the ``(k, n)`` predecessor matrix: each
+        round adds the depth of a node's current ancestor and jumps to
+        that ancestor's, so ``O(log depth)`` vectorized rounds suffice.
+        Roots point at themselves with depth 0.
+        """
+        pred = self._landmark_pred
+        nodes = np.broadcast_to(np.arange(pred.shape[1]), pred.shape)
+        has_parent = pred >= 0
+        ancestor = np.where(has_parent, pred, nodes).astype(np.int64)
+        depth = has_parent.astype(np.int64)
+        while True:
+            above = np.take_along_axis(ancestor, ancestor, axis=1)
+            if np.array_equal(above, ancestor):
+                return int(depth.max())
+            depth += np.take_along_axis(depth, ancestor, axis=1)
+            ancestor = above
 
     # ------------------------------------------------------------------
     # Structure access
