@@ -268,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="S,S,...",
                 help=(
-                    "worker counts for the partition-sliced "
-                    "shared-memory serving sweep (default 1,2,4)"
+                    "worker counts for the pair-parallel serving "
+                    "sweep over one shared table segment "
+                    "(default 1,2,4)"
                 ),
             )
         if name == "report":

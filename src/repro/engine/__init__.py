@@ -12,12 +12,10 @@ behind them (the hwtHls split — see ROADMAP item 2):
 * :class:`BatchRouter` advances *all* live packets one transition per
   sweep over those arrays (gather/argmax per sweep, no per-packet
   python on the hot path), bit-identical to the interpreted loops;
-* :class:`ShardedRouter` serves batches across per-shard worker
-  processes pinned to partition slices of the compiled tables
-  (``CompiledTables.slice_partition``) held in named shared-memory
-  segments — shared arrays are mapped once for the whole service, and
-  packet registers live in a per-batch segment so serving rounds
-  exchange only index sets while packets migrate between owners.
+* :class:`ShardedRouter` serves batches from worker processes that
+  each map one shared, read-only segment of the compiled tables and
+  route a contiguous slice of the pairs with their own
+  :class:`BatchRouter` — pair-parallel, one physical table copy.
 
 Every compiled route is property-tested bit-identical (path, cost,
 legs, header bits, delivered target) to ``route()`` and to RouteTrace
@@ -28,7 +26,6 @@ from repro.engine.batch import BatchRouter, EngineError
 from repro.engine.compiler import (
     CompiledTables,
     EngineUnsupported,
-    PartitionRows,
     compile_scheme,
 )
 from repro.engine.shard import ShardedRouter
@@ -38,7 +35,6 @@ __all__ = [
     "CompiledTables",
     "EngineError",
     "EngineUnsupported",
-    "PartitionRows",
     "ShardedRouter",
     "compile_scheme",
 ]

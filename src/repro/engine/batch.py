@@ -778,12 +778,9 @@ def _step_landmark(T, A, st, ph):
                 _lm_done(st, move[arrived2])
                 rest = move[~arrived2]
                 if rest.size:
-                    # Membership re-check at the *post-hop* node, which
-                    # may lie outside this partition's slice — use the
-                    # global key array when serving a slice.
-                    member = A.get("VIC_MEMBER_KEY", A["VIC_KEY"])
+                    # Membership re-check at the *post-hop* node.
                     still, _ = _lookup_sorted(
-                        member,
+                        A["VIC_KEY"],
                         st["cur"][rest] * n + st["skey"][rest],
                     )
                     st["shortcut"][rest[~still]] = False

@@ -1,365 +1,159 @@
-"""Sharded serving mode: partition-sliced tables in shared memory.
+"""Pair-parallel serving: worker processes over one shared table segment.
 
-Each shard owns the logical node partition ``node % shards == shard_id``
-and is served by a dedicated single-worker process pool pinned to a
-**partition slice** of the compiled tables
-(``CompiledTables.slice_partition``): the arrays a shard's owned nodes
-index live in a per-shard ``multiprocessing.shared_memory`` segment
-only that worker maps, while the arrays every shard needs (search-tree
-slots, landmark predecessor rows, labels, directories) live in one
-shared segment mapped by all workers — one physical copy for the whole
-service, never replicated per worker.
+A compiled route depends only on its own pair and the read-only tables
+it visits, so packets need no coordination.  :class:`ShardedRouter`
+therefore splits the *pairs*, not the nodes:
 
-Packet registers are shared-memory too: ``route_arrays`` packs the
-machine state into a per-batch register segment, and a serving round
-sends each worker only the *index set* of the packets it owns.  The
-worker gathers those rows from the mapped registers, advances them
-sweep by sweep until each completes or its current node crosses into
-another shard's partition (foreign packets are parked by masking their
-phase to DONE for the sweep and restored afterwards), and scatters the
-rows back — no pickled register dicts in either direction.  Every live
-packet makes at least one transition per round, so rounds terminate
-exactly when a single-process sweep loop would.
+* the compiled arrays are packed once into one read-only
+  ``multiprocessing.shared_memory`` segment (:mod:`repro.engine.shm`);
+* one ``ProcessPoolExecutor`` of ``shards`` workers attaches that
+  segment in its initializer and builds a
+  :class:`~repro.engine.batch.BatchRouter` over the mapped views — one
+  physical copy of the tables for the whole service, no table pickling;
+* ``route_arrays`` splits a validated batch into ``shards`` contiguous
+  slices, each worker routes its slice to completion, and the driver
+  concatenates the results in injection order.
 
-Results are bit-identical to :class:`~repro.engine.batch.BatchRouter`
-on the same pairs, in the same injection-index order: sharding changes
-where a sweep runs, never what it computes.  Path recording is not
-supported in sharded mode (the per-sweep trace lives in the workers).
+The output is exactly ``BatchRouter.route_arrays``'s.  ``sweeps`` is the
+maximum over slices, which equals the single-process count: a sweep
+advances every live packet by one transition, so a batch takes as many
+sweeps as its longest packet.  ``shards == 1``, and any batch with fewer
+pairs than workers, is routed in-process over ``self.tables``.
 
-There is no module-global table state in the driver process: every
-router instance owns its pools and segments, so routers never alias
-each other's tables, and ``shards == 1`` degrades to an in-process
-sweep loop over ``self.tables``.  Use as a context manager or call
-:meth:`ShardedRouter.close`; a ``weakref`` finalizer tears down pools
-and unlinks segments if a router is dropped without closing.
+Each router owns its pool and segment; there is no module-global table
+state in the driver, so live routers never alias each other's tables.
+Use as a context manager or call :meth:`ShardedRouter.close`; a
+``weakref`` finalizer shuts the pool down and unlinks the segment if a
+router is dropped without closing.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import weakref
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.engine import shm as _shm
-from repro.engine.batch import (
-    _MACHINES,
-    PH_DONE,
-    EngineError,
-    _validate_pairs,
-)
+from repro.engine.batch import BatchRouter, _validate_pairs
 from repro.engine.compiler import CompiledTables
 
 __all__ = ["ShardedRouter"]
 
-
-def _advance_partition(
-    tables: CompiledTables, shards: int, shard_id: int, st: Dict[str, np.ndarray]
-) -> int:
-    """Advance one shard's packets until each completes or emigrates.
-
-    ``st`` holds only this shard's packet rows; foreign packets (current
-    node outside the partition) are parked by masking their phase to
-    DONE for the sweep and restored afterwards, so the sweep kernels —
-    and therefore the partition-sliced row gathers — never see them.
-    Returns the number of sweeps run.
-    """
-    step = _MACHINES[tables.kind][1]
-    arrays = tables.arrays
-    max_sweeps = int(tables.scalars["max_sweeps"])
-    sweeps = 0
-    while True:
-        foreign = (st["phase"] != PH_DONE) & (
-            st["cur"] % shards != shard_id
-        )
-        parked = st["phase"][foreign]
-        st["phase"][foreign] = PH_DONE
-        if not (st["phase"] != PH_DONE).any():
-            st["phase"][foreign] = parked
-            return sweeps
-        if sweeps >= max_sweeps:
-            raise EngineError(
-                f"shard {shard_id} exceeded {max_sweeps} sweeps"
-            )
-        step(tables, arrays, st, st["phase"].copy())
-        st["phase"][foreign] = parked
-        sweeps += 1
-
-
-# ----------------------------------------------------------------------
-# Worker side.  Each shard's pool has exactly one worker process, so
-# this state is per-shard by construction — it exists only inside that
-# worker and is installed by the pool initializer, never in the driver.
-# ----------------------------------------------------------------------
-
+# Worker side: installed by the pool initializer, never in the driver.
 _WORKER: Dict[str, object] = {}
 
 
-def _init_partition_worker(
-    shard_id: int,
-    shards: int,
-    kind: str,
-    n: int,
-    header_bits: int,
-    leg_names: Tuple[str, ...],
-    scalars: Dict[str, float],
-    shared_name: str,
-    shared_manifest: _shm.Manifest,
-    slice_name: str,
-    slice_manifest: _shm.Manifest,
+def _init_worker(
+    name: str, manifest: _shm.Manifest, template: CompiledTables
 ) -> None:
-    """Attach this worker to its table segments (no table pickling)."""
-    shared_seg = _shm.attach(shared_name)
-    slice_seg = _shm.attach(slice_name)
-    arrays = _shm.views(shared_seg, shared_manifest)
-    arrays.update(_shm.views(slice_seg, slice_manifest, shards=shards))
-    _WORKER["tables"] = CompiledTables(
-        kind=kind,
-        n=n,
-        header_bits=header_bits,
-        leg_names=leg_names,
-        arrays=arrays,
-        scalars=scalars,
-        partition=(shard_id, shards),
-        sliced=tuple(record[0] for record in slice_manifest),
+    """Attach the table segment and build a router over its views."""
+    segment = _shm.attach(name)
+    tables = dataclasses.replace(
+        template, arrays=_shm.views(segment, manifest)
     )
-    _WORKER["shard_id"] = shard_id
-    _WORKER["shards"] = shards
-    _WORKER["segments"] = (shared_seg, slice_seg)
-    _WORKER["registers"] = None
+    _WORKER["segment"] = segment
+    _WORKER["router"] = BatchRouter(tables)
 
 
-def _worker_ready() -> int:
-    """No-op probe: forces worker spawn + segment attach at pool
-    construction instead of inside the first serving round."""
-    if "shard_id" not in _WORKER:
-        raise EngineError("shard worker initializer did not run")
-    return int(_WORKER["shard_id"])  # type: ignore[arg-type]
+def _worker_ready() -> None:
+    """No-op probe: starts the workers (and so attaches the segment) at
+    construction rather than inside the first call."""
 
 
-def _register_views(
-    name: str, manifest: _shm.Manifest
-) -> Dict[str, np.ndarray]:
-    """Mapped register arrays for the current batch, cached by segment
-    name (a new batch's segment evicts the previous mapping)."""
-    cached = _WORKER.get("registers")
-    if cached is not None and cached[0] == name:  # type: ignore[index]
-        return cached[2]  # type: ignore[index]
-    if cached is not None:
-        _, seg, old_views = cached  # type: ignore[misc]
-        _WORKER["registers"] = None
-        old_views.clear()
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - stray view refs
-            pass
-    seg = _shm.attach(name)
-    view_dict = _shm.views(seg, manifest)
-    _WORKER["registers"] = (name, seg, view_dict)
-    return view_dict
+def _route_slice(src: np.ndarray, tgt: np.ndarray) -> Dict[str, object]:
+    return _WORKER["router"].route_arrays(src, tgt)  # type: ignore[union-attr]
 
 
-def _serve_round(
-    reg_name: str, reg_manifest: _shm.Manifest, idx: np.ndarray
-) -> int:
-    """Advance the owned packets at ``idx`` in the mapped registers."""
-    tables = _WORKER.get("tables")
-    if tables is None:
-        raise EngineError("shard worker initializer did not run")
-    registers = _register_views(reg_name, reg_manifest)
-    st = {key: values[idx] for key, values in registers.items()}
-    sweeps = _advance_partition(
-        tables,  # type: ignore[arg-type]
-        _WORKER["shards"],  # type: ignore[arg-type]
-        _WORKER["shard_id"],  # type: ignore[arg-type]
-        st,
-    )
-    for key, values in st.items():
-        registers[key][idx] = values
-    return sweeps
-
-
-# ----------------------------------------------------------------------
-# Driver side
-# ----------------------------------------------------------------------
-
-
-def _teardown(
-    pools: List[concurrent.futures.ProcessPoolExecutor],
-    segments: List[object],
-) -> None:
-    """Shut down worker pools and release every named segment."""
-    for pool in pools:
+def _teardown(pool, segment) -> None:
+    """Shut the worker pool down and release the table segment."""
+    if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
-    for seg in segments:
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - stray view refs
-            pass
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+    if segment is not None:
+        segment.close()
+        segment.unlink()
+
+
+def _concat(parts: List[Dict[str, object]]) -> Dict[str, object]:
+    """Join per-slice outputs in slice (= injection) order."""
+    out: Dict[str, object] = {}
+    for key, first in parts[0].items():
+        if key == "sweeps":
+            out[key] = max(int(part[key]) for part in parts)
+        elif first is None:
+            out[key] = None
+        else:
+            out[key] = np.concatenate([part[key] for part in parts])
+    return out
 
 
 class ShardedRouter:
-    """Serve batches across per-shard workers over sliced shared tables.
-
-    ``shards <= 1`` degrades to the in-process sweep loop (the serial
-    fallback convention of ``parallel_map``) over ``self.tables``.  Use
-    as a context manager or call :meth:`close` to tear the pool down;
-    an unreferenced router is torn down by its finalizer.
-    """
+    """Serve batches from ``shards`` workers sharing one table segment."""
 
     def __init__(self, tables: CompiledTables, shards: int = 2) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.tables = tables
         self.shards = shards
-        self._pools: List[concurrent.futures.ProcessPoolExecutor] = []
-        self._segments: List[object] = []
-        self._slice_bytes: List[int] = [0]
-        self._shared_bytes = tables.nbytes()
+        self._local = BatchRouter(tables)
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._segment = None
         if shards > 1:
-            slices = [
-                tables.slice_partition(shard, shards)
-                for shard in range(shards)
-            ]
-            self._slice_bytes = [sl.sliced_bytes() for sl in slices]
-            self._shared_bytes = slices[0].shared_bytes()
-            shared_arrays = {
-                key: arr
-                for key, arr in slices[0].arrays.items()
-                if key not in slices[0].sliced
-            }
-            shared_seg, shared_manifest = _shm.pack(shared_arrays)
-            self._segments.append(shared_seg)
-            for shard, sl in enumerate(slices):
-                slice_seg, slice_manifest = _shm.pack(
-                    {key: sl.arrays[key] for key in sl.sliced}
-                )
-                self._segments.append(slice_seg)
-                self._pools.append(
-                    concurrent.futures.ProcessPoolExecutor(
-                        max_workers=1,
-                        initializer=_init_partition_worker,
-                        initargs=(
-                            shard,
-                            shards,
-                            tables.kind,
-                            tables.n,
-                            tables.header_bits,
-                            tables.leg_names,
-                            tables.scalars,
-                            shared_seg.name,
-                            shared_manifest,
-                            slice_seg.name,
-                            slice_manifest,
-                        ),
-                    )
-                )
-            for pool in self._pools:
-                pool.submit(_worker_ready).result()
+            self._segment, manifest = _shm.pack(tables.arrays)
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=shards,
+                initializer=_init_worker,
+                initargs=(
+                    self._segment.name,
+                    manifest,
+                    dataclasses.replace(tables, arrays={}),
+                ),
+            )
         self._finalizer = weakref.finalize(
-            self, _teardown, list(self._pools), list(self._segments)
+            self, _teardown, self._pool, self._segment
         )
+        if self._pool is not None:
+            probes = [
+                self._pool.submit(_worker_ready) for _ in range(shards)
+            ]
+            for probe in probes:
+                probe.result()
 
     def partition_bytes(self) -> Dict[str, object]:
-        """Per-worker table residency: ``replicated`` is what the old
-        full-replication mode shipped to every worker; ``per_worker``
-        is what each worker maps now (its slice plus the shared
-        segment, which is one physical copy across all workers)."""
-        full = self.tables.nbytes()
-        return {
-            "replicated": full,
-            "shared": self._shared_bytes,
-            "sliced": list(self._slice_bytes),
-            "per_worker": [
-                self._shared_bytes + sliced
-                for sliced in self._slice_bytes
-            ],
-        }
+        """Table bytes each worker maps: all of them, from the one
+        shared segment (a single physical copy service-wide)."""
+        return {"per_worker": [self.tables.nbytes()] * self.shards}
 
     def worker_pids(self) -> List[int]:
-        """PIDs of the live shard workers (empty for ``shards == 1``)."""
-        pids: List[int] = []
-        for pool in self._pools:
-            pids.extend(
-                proc.pid for proc in pool._processes.values()
-            )
-        return pids
+        """PIDs of the live workers (empty for ``shards == 1``)."""
+        if self._pool is None:
+            return []
+        return [proc.pid for proc in self._pool._processes.values()]
 
     def route_arrays(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> Dict[str, object]:
-        """Route pairs; identical output contract to ``BatchRouter``
-        (injection-index order), minus path recording."""
-        T = self.tables
-        src, tgt = _validate_pairs(T.n, sources, targets)
-        st = _MACHINES[T.kind][0](T, src, tgt)
-        if not self._pools:
-            rounds = 0
-            if (st["phase"] != PH_DONE).any():
-                _advance_partition(T, 1, 0, st)
-                rounds = 1
-            return self._collect(st, rounds)
-        max_rounds = int(T.scalars["max_sweeps"])
-        reg_seg, manifest = _shm.pack(st)
-        registers = None
-        try:
-            registers = _shm.views(reg_seg, manifest)
-            rounds = 0
-            while True:
-                live = registers["phase"] != PH_DONE
-                if not live.any():
-                    break
-                if rounds >= max_rounds:
-                    raise EngineError(
-                        f"{int(live.sum())} packets still live after "
-                        f"{rounds} serving rounds"
-                    )
-                owner = registers["cur"] % self.shards
-                futures = []
-                for shard in range(self.shards):
-                    idx = np.nonzero(live & (owner == shard))[0]
-                    if idx.size:
-                        futures.append(
-                            self._pools[shard].submit(
-                                _serve_round, reg_seg.name, manifest, idx
-                            )
-                        )
-                for future in futures:
-                    future.result()
-                rounds += 1
-            out = self._collect(registers, rounds)
-        finally:
-            registers = None
-            try:
-                reg_seg.close()
-            except BufferError:  # pragma: no cover - stray view refs
-                pass
-            reg_seg.unlink()
-        return out
-
-    def _collect(
-        self, st: Dict[str, np.ndarray], rounds: int
-    ) -> Dict[str, object]:
-        width = len(self.tables.leg_names)
-        out: Dict[str, object] = {
-            "target": st["res_target"].copy(),
-            "cost": st["res_cost"].copy(),
-            "legs": st["legs"][:, :width].copy() if width else None,
-            "rounds": rounds,
-        }
-        if "zerohop" in st:
-            out["zerohop"] = st["zerohop"].copy()
-        return out
+        """Route pairs; the output contract of
+        ``BatchRouter.route_arrays`` (injection order), without paths."""
+        src, tgt = _validate_pairs(self.tables.n, sources, targets)
+        if self._pool is None or src.size < self.shards:
+            return self._local.route_arrays(src, tgt)
+        futures = [
+            self._pool.submit(_route_slice, s, t)
+            for s, t in zip(
+                np.array_split(src, self.shards),
+                np.array_split(tgt, self.shards),
+            )
+        ]
+        concurrent.futures.wait(futures)
+        return _concat([future.result() for future in futures])
 
     def close(self) -> None:
         self._finalizer()
-        self._pools = []
-        self._segments = []
+        self._pool = None
+        self._segment = None
 
     def __enter__(self) -> "ShardedRouter":
         return self

@@ -1,27 +1,20 @@
-"""Shared-memory packing for compiled tables and packet registers.
+"""Shared-memory packing for compiled tables.
 
-The sharded serving mode (:mod:`repro.engine.shard`) keeps three kinds
-of named ``multiprocessing.shared_memory`` segments:
-
-* one **shared segment** holding every array all shards need (search
-  trees, landmark predecessor rows, labels, directories) — mapped by
-  every worker, one physical copy for the whole service;
-* one **slice segment per shard** holding that shard's partition-sliced
-  rows and CSR tables (see ``CompiledTables.slice_partition``) — mapped
-  only by its owner;
-* one **register segment per batch** holding the packet state arrays —
-  the driver and every worker map it, so a serving round exchanges only
-  index sets, never pickled register dicts.
+Pair-parallel serving (:mod:`repro.engine.shard`) keeps one named
+``multiprocessing.shared_memory`` segment per router holding every
+compiled array; each worker maps it read-only, so the tables exist
+once in physical memory however many workers serve them.
 
 A segment is described by a :func:`pack` manifest — a tuple of
-``(key, offset, shape, dtype-str, is_rows)`` records — which is small
-and picklable, so workers can rebuild the exact array dict from the
-segment name alone.  Offsets are 64-byte aligned.
+``(key, offset, shape, dtype-str)`` records — which is small and
+picklable, so workers can rebuild the exact array dict from the segment
+name alone.  Offsets are 64-byte aligned.
 
 Python < 3.13 has no ``track=False``; who tracks a segment depends on
-the start method.  Under ``fork`` (this platform) workers inherit the
-driver's resource tracker, so an attach's duplicate registration is a
-set no-op and the driver's explicit unlink keeps the books straight.
+the start method.  Under ``fork`` (the Linux default before Python
+3.14) workers inherit the driver's resource tracker, so an attach's
+duplicate registration is a set no-op and the driver's explicit unlink
+keeps the books straight.
 Under spawn-style methods every attaching worker runs its *own*
 tracker, which would unlink the segment when that worker exits
 (bpo-38119); :func:`attach` unregisters in that case so the creating
@@ -33,16 +26,14 @@ from __future__ import annotations
 import multiprocessing
 
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.engine.compiler import PartitionRows
-
 __all__ = ["Manifest", "pack", "attach", "views"]
 
-#: (array key, byte offset, shape, dtype string, wrap in PartitionRows)
-Manifest = Tuple[Tuple[str, int, Tuple[int, ...], str, bool], ...]
+#: (array key, byte offset, shape, dtype string)
+Manifest = Tuple[Tuple[str, int, Tuple[int, ...], str], ...]
 
 
 def _aligned(offset: int) -> int:
@@ -50,10 +41,10 @@ def _aligned(offset: int) -> int:
 
 
 def pack(
-    arrays: Dict[str, object],
+    arrays: Dict[str, np.ndarray],
 ) -> Tuple[shared_memory.SharedMemory, Manifest]:
-    """Copy ``arrays`` (ndarrays or :class:`PartitionRows`) into a new
-    named segment; returns the segment and its manifest.
+    """Copy ``arrays`` into a new named segment; returns the segment
+    and its manifest.
 
     The caller owns the segment: close + unlink when done.
     """
@@ -61,15 +52,12 @@ def pack(
     offset = 0
     datas = []
     for key, arr in arrays.items():
-        is_rows = isinstance(arr, PartitionRows)
-        data = np.ascontiguousarray(arr.data if is_rows else arr)
-        records.append(
-            (key, offset, data.shape, data.dtype.str, is_rows)
-        )
+        data = np.ascontiguousarray(arr)
+        records.append((key, offset, data.shape, data.dtype.str))
         datas.append(data)
         offset = _aligned(offset + data.nbytes)
     shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
-    for (key, off, shape, dtype, _), data in zip(records, datas):
+    for (key, off, shape, dtype), data in zip(records, datas):
         view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)
         view[...] = data
         del view
@@ -88,25 +76,16 @@ def attach(name: str) -> shared_memory.SharedMemory:
 
 
 def views(
-    shm: shared_memory.SharedMemory,
-    manifest: Manifest,
-    shards: Optional[int] = None,
-) -> Dict[str, object]:
-    """Array views over a segment, rebuilt from its manifest.
+    shm: shared_memory.SharedMemory, manifest: Manifest
+) -> Dict[str, np.ndarray]:
+    """Read-only array views over a segment, rebuilt from its manifest.
 
-    ``is_rows`` entries are wrapped back into :class:`PartitionRows`
-    (``shards`` is required when the manifest contains any).  The views
-    reference the segment's buffer; drop them before closing it.
+    The views reference the segment's buffer; drop them before closing
+    it.
     """
-    out: Dict[str, object] = {}
-    for key, offset, shape, dtype, is_rows in manifest:
+    out: Dict[str, np.ndarray] = {}
+    for key, offset, shape, dtype in manifest:
         arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
-        if is_rows:
-            if shards is None:
-                raise ValueError(
-                    "manifest contains sliced rows; pass shards"
-                )
-            out[key] = PartitionRows(arr, shards)
-        else:
-            out[key] = arr
+        arr.flags.writeable = False
+        out[key] = arr
     return out

@@ -11,13 +11,10 @@ bit-identical to the interpreter (property-tested in
   against interpreted, on power-law (preferential-attachment) graphs
   over the lazy substrate — the Internet-like regime of E19, served by
   the landmark name-independent scheme.
-* ``run_shards`` — routes/second and per-worker resident table bytes
-  versus shard count for the multi-process serving mode, where each
-  worker is pinned to a shared-memory partition slice of the compiled
-  tables (``CompiledTables.slice_partition``), owns the node partition
-  ``node % shards``, and packets migrate between workers as they walk;
-  registers live in a per-batch shared segment, so rounds exchange
-  only index sets.
+* ``run_shards`` — routes/second and per-worker mapped table bytes
+  versus worker count for pair-parallel serving, where each worker
+  maps the one shared-memory segment of the compiled tables and routes
+  a contiguous slice of every batch with its own ``BatchRouter``.
 
 CLI: ``python -m repro throughput [--sizes 256,2048] [--batch-sizes
 64,512,4096] [--shards 1,2,4]``.  The committed trajectory (through
@@ -152,15 +149,14 @@ def run_shards(
     shards: Optional[Sequence[int]] = None,
     sizes: Optional[Sequence[int]] = None,
 ) -> ExperimentTable:
-    """Sharded serving throughput and per-worker table residency.
+    """Pair-parallel serving throughput and per-worker table bytes.
 
-    Workers are real processes pinned to shared-memory partition
-    slices; a serving round sends each owner only the index set of its
-    live packets (registers are a mapped segment, not pickled dicts),
-    so round cost is submission latency, not register volume.  The
-    ``MB/worker`` column is what one worker maps — its slice plus the
-    shared segment, one physical copy service-wide — against the
-    ``replicated MB`` a per-worker table copy would cost.
+    Workers are real processes that attach one shared-memory segment
+    of the compiled tables in the pool initializer; a batch is split
+    into one contiguous slice of pairs per worker, and the results are
+    concatenated in injection order.  The ``MB/worker`` column is what
+    one worker maps: all of the tables, one physical copy shared by
+    every worker.
     """
     if context is None:
         context = BuildContext()
@@ -174,7 +170,7 @@ def run_shards(
         count = int(count)
         with ShardedRouter(tables, shards=count) as router:
             start = time.perf_counter()
-            out = router.route_arrays(src, tgt)
+            router.route_arrays(src, tgt)
             elapsed = time.perf_counter() - start
             resident = router.partition_bytes()
         rows.append(
@@ -183,29 +179,19 @@ def run_shards(
                 count,
                 batch,
                 int(batch / elapsed),
-                int(out["rounds"]),
                 round(max(resident["per_worker"]) / 1e6, 3),
-                round(resident["replicated"] / 1e6, 3),
             ]
         )
     return ExperimentTable(
-        title="E20b: sharded serving mode (partition-sliced workers)",
-        columns=[
-            "n",
-            "shards",
-            "batch",
-            "routes/s",
-            "rounds",
-            "MB/worker",
-            "replicated MB",
-        ],
+        title="E20b: sharded serving mode (pair-parallel workers)",
+        columns=["n", "shards", "batch", "routes/s", "MB/worker"],
         rows=rows,
         notes=[
-            "shards=1 is the in-process fallback; workers attach to"
-            " shared-memory partition slices via the pool initializer"
-            " and own the partition node % shards",
-            "serving rounds exchange index sets over a shared register"
-            " segment — never pickled tables or register dicts"
-            " (DESIGN.md, engine section)",
+            "shards=1 is the in-process BatchRouter; workers attach one"
+            " shared-memory table segment via the pool initializer and"
+            " each routes a contiguous slice of the batch",
+            "the segment is one physical copy of the tables for every"
+            " worker; only pairs and results are pickled (DESIGN.md,"
+            " engine section)",
         ],
     )

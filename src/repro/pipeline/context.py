@@ -53,7 +53,8 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v4: strategy-tagged metric cache keys; lazy metrics pickle only their
 #: materialized rows (partial search state is recomputed on demand).
 #: v5: landmark schemes carry the vicinity arrays their compiler reads.
-CACHE_FORMAT_VERSION = 5
+#: v6: compiled tables drop the partition-slice fields.
+CACHE_FORMAT_VERSION = 6
 
 
 @dataclasses.dataclass

@@ -19,6 +19,8 @@ import time
 import pytest
 
 import numpy as np
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     BatchRouter,
@@ -170,6 +172,8 @@ class TestDegradedOverlay:
 
 
 def _assert_sharded_equal(single, multi):
+    assert single.keys() == multi.keys()
+    assert single["sweeps"] == multi["sweeps"]
     np.testing.assert_array_equal(single["target"], multi["target"])
     np.testing.assert_array_equal(single["cost"], multi["cost"])
     if single["legs"] is None:
@@ -209,98 +213,36 @@ class TestShardedRouter:
         with pytest.raises(ValueError):
             ShardedRouter(tables, shards=0)
 
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_generated_batches_match_batch_router(
+        self, shards, grid_metric, params
+    ):
+        """One long-lived router serves generated batches of 0..40
+        pairs, including batches smaller than the pool: every output
+        key, ``sweeps`` included, equals BatchRouter's."""
+        tables = LandmarkNameIndependentScheme(
+            grid_metric, params
+        ).compile_tables()
+        reference = BatchRouter(tables)
+        node = st.integers(0, tables.n - 1)
 
-# ----------------------------------------------------------------------
-# Partition slicing (tentpole: CompiledTables.slice_partition)
-# ----------------------------------------------------------------------
+        with ShardedRouter(tables, shards=shards) as router:
 
-
-class TestPartitionSlicing:
-    def test_owned_rows_match_full_tables(self, nameind_simple):
-        """A slice answers owned-node row lookups exactly like the full
-        tables: PartitionRows remaps ``[node]`` to the compacted row."""
-        tables = nameind_simple.compile_tables()
-        for shards in (2, 3):
-            for shard in range(shards):
-                sl = tables.slice_partition(shard, shards)
-                assert sl.partition == (shard, shards)
-                for name in ("NH", "D"):
-                    assert name in sl.sliced
-                    for node in range(shard, tables.n, shards):
-                        np.testing.assert_array_equal(
-                            sl.arrays[name][node],
-                            tables.arrays[name][node],
-                        )
-
-    def test_slices_shrink_resident_bytes(self, nameind_simple):
-        tables = nameind_simple.compile_tables()
-        for shards in (2, 4):
-            for shard in range(shards):
-                sl = tables.slice_partition(shard, shards)
-                assert sl.nbytes() < tables.nbytes()
-                assert (
-                    sl.shared_bytes() + sl.sliced_bytes() == sl.nbytes()
+            @seed(20 + shards)
+            @settings(max_examples=40, deadline=None)
+            @given(pairs=st.lists(st.tuples(node, node), max_size=40))
+            @example(pairs=[])
+            @example(pairs=[(0, 35)])
+            @example(pairs=[(3, 3), (35, 0)])
+            def check(pairs):
+                sources = [u for u, _ in pairs]
+                targets = [v for _, v in pairs]
+                _assert_sharded_equal(
+                    reference.route_arrays(sources, targets),
+                    router.route_arrays(sources, targets),
                 )
 
-    def test_csr_slices_partition_the_key_space(self, grid_metric, params):
-        tables = LandmarkNameIndependentScheme(
-            grid_metric, params
-        ).compile_tables()
-        shards = 3
-        slices = [
-            tables.slice_partition(shard, shards)
-            for shard in range(shards)
-        ]
-        parts = []
-        for sl in slices:
-            keys = sl.arrays["VIC_KEY"]
-            keys = keys[keys >= 0]
-            assert (
-                (keys // tables.n) % shards == sl.partition[0]
-            ).all()
-            parts.append(keys)
-        rebuilt = np.sort(np.concatenate(parts))
-        full = tables.arrays["VIC_KEY"]
-        np.testing.assert_array_equal(rebuilt, full[full >= 0])
-
-    def test_landmark_exposes_full_membership_keys(
-        self, grid_metric, params
-    ):
-        """The post-hop shortcut-break membership re-check can land on a
-        foreign node, so the slice carries the full key array (shared),
-        while the payload columns stay sliced."""
-        tables = LandmarkNameIndependentScheme(
-            grid_metric, params
-        ).compile_tables()
-        sl = tables.slice_partition(1, 2)
-        assert sl.arrays["VIC_MEMBER_KEY"] is tables.arrays["VIC_KEY"]
-        assert "VIC_MEMBER_KEY" not in sl.sliced
-        assert "VIC_TGT" in sl.sliced
-
-    def test_identity_slice_and_errors(self, grid_metric):
-        tables = ShortestPathScheme(grid_metric).compile_tables()
-        ident = tables.slice_partition(0, 1)
-        assert ident.partition == (0, 1)
-        assert ident.sliced == ()
-        with pytest.raises(ValueError):
-            tables.slice_partition(2, 2)
-        with pytest.raises(ValueError):
-            tables.slice_partition(0, 0)
-        with pytest.raises(ValueError):
-            ident.slice_partition(0, 2)
-
-    def test_router_reports_per_worker_below_replication(
-        self, grid_metric, params
-    ):
-        tables = LandmarkNameIndependentScheme(
-            grid_metric, params
-        ).compile_tables()
-        with ShardedRouter(tables, shards=2) as router:
-            resident = router.partition_bytes()
-        assert resident["replicated"] == tables.nbytes()
-        assert len(resident["per_worker"]) == 2
-        for per_worker in resident["per_worker"]:
-            assert per_worker < resident["replicated"]
+            check()
 
 
 # ----------------------------------------------------------------------
@@ -400,9 +342,9 @@ class TestPoolLifecycle:
         )
 
     def test_raising_route_does_not_strand_workers(self, grid_metric):
-        """A worker-side EngineError (sweep cap exceeded mid-round) must
-        leave the pool serving and the register segment unlinked; close
-        must still reap every worker."""
+        """A worker-side EngineError (sweep cap exceeded inside a
+        worker) must leave the pool serving and /dev/shm unchanged;
+        close must still reap every worker."""
         tables = self._capped(
             ShortestPathScheme(grid_metric).compile_tables(), 1
         )
@@ -412,17 +354,20 @@ class TestPoolLifecycle:
             assert len(pids) == 2
             shm_before = set(os.listdir("/dev/shm"))
             with pytest.raises(EngineError):
-                # 0 -> 30 walks column 0 of the 6x6 grid: every hop
-                # stays on shard 0, so that worker exceeds the cap.
-                router.route_arrays([0], [30])
+                # Two pairs reach both workers; each walk takes several
+                # hops of the 6x6 grid, so both exceed the cap.
+                router.route_arrays([0, 5], [30, 35])
             assert set(os.listdir("/dev/shm")) == shm_before
-            out = router.route_arrays([5], [5])
-            assert out["target"][0] == 5
+            out = router.route_arrays([5, 7], [5, 7])
+            np.testing.assert_array_equal(out["target"], [5, 7])
+            assert sorted(router.worker_pids()) == sorted(pids)
         finally:
             router.close()
         _assert_workers_dead(pids)
 
     def test_driver_raise_unlinks_register_segment(self, grid_metric):
+        """A raise in the driver (a batch smaller than the pool is
+        routed in-process) leaves /dev/shm as it was."""
         tables = self._capped(
             ShortestPathScheme(grid_metric).compile_tables(), 0
         )
@@ -430,7 +375,7 @@ class TestPoolLifecycle:
         try:
             shm_before = set(os.listdir("/dev/shm"))
             with pytest.raises(EngineError):
-                router.route_arrays([0, 1], [7, 8])
+                router.route_arrays([0], [7])
             assert set(os.listdir("/dev/shm")) == shm_before
         finally:
             router.close()
@@ -440,13 +385,12 @@ class TestPoolLifecycle:
         router = ShardedRouter(tables, shards=2)
         router.route_arrays([0, 1], [7, 8])
         pids = router.worker_pids()
-        names = [seg.name for seg in router._segments]
-        assert pids and names
+        name = router._segment.name
+        assert pids and os.path.exists(os.path.join("/dev/shm", name))
         del router
         gc.collect()
         _assert_workers_dead(pids)
-        for name in names:
-            assert not os.path.exists(os.path.join("/dev/shm", name))
+        assert not os.path.exists(os.path.join("/dev/shm", name))
 
     def test_close_is_idempotent(self, grid_metric):
         tables = ShortestPathScheme(grid_metric).compile_tables()
