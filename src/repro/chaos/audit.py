@@ -16,7 +16,7 @@ guarding:
 * :func:`quarantine_and_repair` closes the loop: audit, quarantine the
   corrupted nodes, re-fetch their rows through the churn repair path
   (:meth:`BuildContext.repair_rows` row splicing), and re-audit;
-* :func:`verify_against_cold` is the ChurnVerificationError-style
+* :func:`verify_against_cold` is the churn driver's cold-rebuild
   check: post-repair routes and table sizes must be bit-identical to a
   cold rebuild, else :class:`TableIntegrityError`.
 
@@ -34,9 +34,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.core.params import SchemeParameters
 from repro.core.seeding import derive_seed
 from repro.core.types import NodeId, ReproError
-from repro.metric.graph_metric import DISTANCE_SLACK, GraphMetric
+from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.context import BuildContext
 from repro.pipeline.sampling import sample_ordered_pairs
+from repro.pipeline.verify import cold_rebuild_divergence
 
 
 class TableIntegrityError(ReproError):
@@ -187,31 +188,18 @@ def verify_against_cold(
 ) -> int:
     """Assert ``scheme`` routes bit-identically to a cold rebuild.
 
-    The ChurnVerificationError-style check (same structure as
-    ``ChurnDriver._verify``): a fresh context rebuilds the scheme from
-    the graph alone, then ``table_bits_vector`` and a deterministic
-    pair sample of routes must match exactly.  Returns the number of
-    pairs compared; raises :class:`TableIntegrityError` on divergence.
+    The check :class:`~repro.churn.ChurnDriver` runs too
+    (:func:`~repro.pipeline.verify.cold_rebuild_divergence`): a fresh
+    context rebuilds the scheme from the graph alone, then
+    ``table_bits_vector`` and a deterministic pair sample of routes
+    must match exactly.  Returns the number of pairs compared; raises
+    :class:`TableIntegrityError` on divergence.
     """
-    metric = scheme.metric
-    cold_context = BuildContext()
-    cold_metric = cold_context.metric(metric.graph.copy())
-    cold = cold_context.scheme(scheme_cls, cold_metric, params)
-    if scheme.table_bits_vector() != cold.table_bits_vector():
-        raise TableIntegrityError(
-            "table_bits_vector diverged from cold rebuild"
-        )
-    n = cold_metric.n
     if pairs is None:
-        pairs = sample_ordered_pairs(
-            n, min(pair_count, n * (n - 1)), seed=seed
-        )
-    for u, v in pairs:
-        warm = scheme.route(u, v)
-        ref = cold.route(u, v)
-        if warm.path != ref.path or abs(warm.cost - ref.cost) > DISTANCE_SLACK:
-            raise TableIntegrityError(
-                f"route {u}->{v} diverged from cold rebuild: "
-                f"{warm.path} != {ref.path}"
-            )
+        pairs = sample_ordered_pairs(scheme.metric.n, pair_count, seed=seed)
+    divergence = cold_rebuild_divergence(
+        scheme, scheme_cls, scheme.metric.graph, pairs, params
+    )
+    if divergence is not None:
+        raise TableIntegrityError(divergence)
     return len(pairs)

@@ -47,10 +47,9 @@ import networkx as nx
 from repro.core.edits import EditKind, GraphEdit
 from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, PreprocessingError
-from repro.metric.graph_metric import DISTANCE_SLACK
-from repro.observability.trace import RouteTrace
 from repro.pipeline.context import BuildContext, EditReport
 from repro.pipeline.sampling import sample_ordered_pairs
+from repro.pipeline.verify import cold_rebuild_divergence
 from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.failure_plan import EventKind, FailureEvent, edge_key
 from repro.resilience.router import FallbackPolicy, ResilientRouter
@@ -160,8 +159,6 @@ class ChurnReport:
     rounds: List[ChurnRoundRecord]
     initial_nodes: int
     final_nodes: int
-    #: Repair traces of every committed edit (``trace_repairs=True``).
-    repair_traces: List[RouteTrace] = dataclasses.field(default_factory=list)
 
     @property
     def total_edits(self) -> int:
@@ -234,9 +231,6 @@ class ChurnDriver:
         verify_every: Cold-rebuild bit-identity check cadence in rounds
             (0 disables; the check is expensive — a full cold build).
         verify_pairs: Routed pairs per verification.
-        trace_repairs: Record an observability
-            :class:`~repro.observability.trace.RouteTrace` per edit
-            (phases ``repair`` / ``splice`` / ``carry``).
     """
 
     def __init__(
@@ -253,7 +247,6 @@ class ChurnDriver:
         demand_rate: float = 1.0,
         verify_every: int = 0,
         verify_pairs: int = 40,
-        trace_repairs: bool = False,
     ) -> None:
         if edits_per_round < 1:
             raise ValueError("edits_per_round must be >= 1")
@@ -277,7 +270,6 @@ class ChurnDriver:
         self._demand_rate = demand_rate
         self._verify_every = verify_every
         self._verify_pairs = verify_pairs
-        self._trace_repairs = trace_repairs
 
     @property
     def context(self) -> BuildContext:
@@ -343,27 +335,14 @@ class ChurnDriver:
 
     def _verify(self, warm_scheme: RoutingScheme) -> bool:
         """Assert the warm scheme is bit-identical to a cold rebuild."""
-        cold_context = BuildContext()
-        cold_metric = cold_context.metric(self._graph.copy())
-        cold = cold_context.scheme(
-            self._scheme_cls, cold_metric, self._params
-        )
-        if warm_scheme.table_bits_vector() != cold.table_bits_vector():
-            raise ChurnVerificationError(
-                "incremental table_bits_vector diverged from cold rebuild"
-            )
-        n = cold_metric.n
         pairs = sample_ordered_pairs(
-            n, min(self._verify_pairs, n * (n - 1)), seed=self._seed
+            self._graph.number_of_nodes(), self._verify_pairs, seed=self._seed
         )
-        for u, v in pairs:
-            warm = warm_scheme.route(u, v)
-            ref = cold.route(u, v)
-            if warm.path != ref.path or abs(warm.cost - ref.cost) > DISTANCE_SLACK:
-                raise ChurnVerificationError(
-                    f"incremental route {u}->{v} diverged from cold "
-                    f"rebuild: {warm.path} != {ref.path}"
-                )
+        divergence = cold_rebuild_divergence(
+            warm_scheme, self._scheme_cls, self._graph, pairs, self._params
+        )
+        if divergence is not None:
+            raise ChurnVerificationError(f"incremental {divergence}")
         return True
 
     # ------------------------------------------------------------------
@@ -380,7 +359,6 @@ class ChurnDriver:
         scheme = context.scheme(self._scheme_cls, metric, self._params)
 
         rounds: List[ChurnRoundRecord] = []
-        traces: List[RouteTrace] = []
         committed = 0
         index = 0
         while committed < edits:
@@ -402,8 +380,6 @@ class ChurnDriver:
                     edit, stale_metric.graph, factors
                 ):
                     degraded.apply(event)
-                if self._trace_repairs:
-                    traces.append(report.to_trace())
 
             # -- staleness window: route + load ------------------------
             demands = uniform_demands(
@@ -421,14 +397,12 @@ class ChurnDriver:
             )
 
             # -- repair: incremental rebuild through the warm context --
-            built_before = dict(context.stats.misses)
-            reused_before = dict(context.stats.hits)
+            before = context.stats.snapshot()
             start = time.perf_counter()
             metric = context.metric(self._graph)
             scheme = context.scheme(self._scheme_cls, metric, self._params)
             rebuild_seconds = time.perf_counter() - start
-            built = _counter_delta(built_before, context.stats.misses)
-            reused = _counter_delta(reused_before, context.stats.hits)
+            built, reused = context.stats.since(before)
 
             verified: Optional[bool] = None
             if self._verify_every and (index + 1) % self._verify_every == 0:
@@ -483,18 +457,7 @@ class ChurnDriver:
             rounds=rounds,
             initial_nodes=initial_nodes,
             final_nodes=self._graph.number_of_nodes(),
-            repair_traces=traces,
         )
-
-
-def _counter_delta(
-    before: Dict[str, int], after: Dict[str, int]
-) -> Dict[str, int]:
-    return {
-        kind: after.get(kind, 0) - before.get(kind, 0)
-        for kind in set(before) | set(after)
-        if after.get(kind, 0) - before.get(kind, 0)
-    }
 
 
 def _finite(x: float) -> bool:

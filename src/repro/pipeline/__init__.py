@@ -11,9 +11,11 @@ each exactly once per run and shares it everywhere:
 * :mod:`~repro.pipeline.registry` — the declarative experiment registry
   (``name -> spec -> runner``) the CLI dispatches through;
 * :mod:`~repro.pipeline.parallel` — deterministic ordered fan-out over
-  independent work items (pair chunks, (graph, scheme) cells);
+  independent work items ((graph, scheme) cells);
 * :mod:`~repro.pipeline.sampling` — the single source-destination pair
-  sampler every workload generator draws from.
+  sampler every workload generator draws from;
+* :mod:`~repro.pipeline.verify` — the cold-rebuild check incremental
+  maintenance is held to.
 """
 
 from repro.pipeline.context import BuildContext, BuildStats
@@ -24,12 +26,14 @@ from repro.pipeline.registry import (
     run_experiment,
 )
 from repro.pipeline.sampling import draw_pair, sample_ordered_pairs
+from repro.pipeline.verify import cold_rebuild_divergence
 
 __all__ = [
     "BuildContext",
     "BuildStats",
     "ExperimentSpec",
     "REGISTRY",
+    "cold_rebuild_divergence",
     "draw_pair",
     "parallel_map",
     "run_experiment",

@@ -27,13 +27,15 @@ across incompatible library versions.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
 import hashlib
 import os
 import pickle
 import time
 import weakref
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type
 
 import networkx as nx
 
@@ -42,8 +44,6 @@ from repro.core.params import SchemeParameters
 from repro.core.types import NodeId
 from repro.metric.graph_metric import GraphMetric
 from repro.nets.hierarchy import NetHierarchy
-from repro.observability.profile import BuildProfile
-from repro.observability.trace import RouteTrace, TraceEvent
 from repro.packing.ballpacking import BallPacking
 from repro.pipeline.sampling import sample_ordered_pairs
 
@@ -59,19 +59,30 @@ CACHE_FORMAT_VERSION = 6
 
 @dataclasses.dataclass
 class BuildStats:
-    """Hit/miss counters per artifact kind (for tests and logging).
+    """The build ledger: per artifact kind, what was built, what was
+    reused, and where the time went.
 
-    Two granularities share these counters: whole artifacts ("metric",
+    Two granularities share the counters: whole artifacts ("metric",
     "hierarchy", "scheme", ...) recorded by the context's memoizer, and
     the partitions inside them ("metric_row", "hierarchy_level",
     "ring_block", "search_tree", "zoom_parent") folded in by the
     builders so incremental rebuilds can be audited against the dirty
     set of an edit rather than whole-graph cache hits.
+
+    Seconds are kept per stage — ``build`` (inside constructors),
+    ``disk_load`` and ``disk_store`` (the on-disk cache) — by
+    :meth:`timed`: two ``perf_counter`` reads around work that takes
+    milliseconds to seconds, so the ledger is always on.
+    :meth:`report` merges counters and seconds into the JSON-ready dict
+    behind the CLI's ``--profile`` and the report's provenance appendix.
     """
 
     hits: Dict[str, int] = dataclasses.field(default_factory=dict)
     misses: Dict[str, int] = dataclasses.field(default_factory=dict)
     disk_hits: Dict[str, int] = dataclasses.field(default_factory=dict)
+    build_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
+    disk_load_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
+    disk_store_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     def record(self, kind: str, outcome: str) -> None:
         counter = getattr(self, outcome)
@@ -88,6 +99,86 @@ class BuildStats:
     def built(self, kind: str) -> int:
         """Number of artifacts of ``kind`` actually constructed."""
         return self.misses.get(kind, 0)
+
+    @contextlib.contextmanager
+    def timed(self, stage: str, kind: str) -> Iterator[None]:
+        """Charge the duration of the block to ``(stage, kind)``.
+
+        ``stage`` is one of ``build``, ``disk_load``, ``disk_store``.
+        Timings are inclusive: a scheme's builder resolves its
+        substrates through the context, so their build time shows up
+        both under their own kind and inside the scheme's.
+        """
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            bucket = getattr(self, f"{stage}_seconds")
+            bucket[kind] = bucket.get(kind, 0.0) + time.perf_counter() - start
+
+    def snapshot(self) -> "BuildStats":
+        """An independent copy, to diff against later with :meth:`since`."""
+        return copy.deepcopy(self)
+
+    def since(self, before: "BuildStats") -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(built, reused)`` per kind since the ``before`` snapshot.
+
+        Reused counts memory and disk hits alike; kinds that did not
+        move are omitted.
+        """
+        built = _increments(self.misses, before.misses)
+        reused = _increments(self.hits, before.hits)
+        for kind, count in _increments(self.disk_hits, before.disk_hits).items():
+            reused[kind] = reused.get(kind, 0) + count
+        return built, reused
+
+    def report(self, substrate: Optional[Dict[str, int]] = None) -> Dict[str, Any]:
+        """JSON-ready merge of the counters and seconds, per kind.
+
+        ``substrate`` takes aggregated metric-substrate counters (see
+        ``BuildContext.substrate_stats``); when given, the report
+        carries a ``substrate`` section with rows materialized and the
+        row-store hit rate, so ``--profile`` shows how far a run stayed
+        below full APSP.
+        """
+        kinds = set(self.hits) | set(self.misses) | set(self.disk_hits)
+        kinds |= set(self.build_seconds) | set(self.disk_load_seconds)
+        kinds |= set(self.disk_store_seconds)
+        rows: Dict[str, Dict[str, Any]] = {}
+        for kind in sorted(kinds):
+            row: Dict[str, Any] = {
+                "build_seconds": round(self.build_seconds.get(kind, 0.0), 6)
+            }
+            for stage in ("disk_load", "disk_store"):
+                seconds = getattr(self, f"{stage}_seconds").get(kind)
+                if seconds is not None:
+                    row[f"{stage}_seconds"] = round(seconds, 6)
+            row["hits"] = self.hits.get(kind, 0)
+            row["misses"] = self.misses.get(kind, 0)
+            row["disk_hits"] = self.disk_hits.get(kind, 0)
+            rows[kind] = row
+        merged: Dict[str, Any] = {
+            "total_build_seconds": round(sum(self.build_seconds.values()), 6),
+            "kinds": rows,
+        }
+        if substrate is not None:
+            section: Dict[str, Any] = dict(substrate)
+            lookups = section.get("row_hits", 0) + section.get("row_misses", 0)
+            section["row_store_hit_rate"] = (
+                round(section.get("row_hits", 0) / lookups, 4)
+                if lookups
+                else None
+            )
+            merged["substrate"] = section
+        return merged
+
+
+def _increments(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
+    return {
+        kind: count - before.get(kind, 0)
+        for kind, count in after.items()
+        if count != before.get(kind, 0)
+    }
 
 
 # -- content keys -------------------------------------------------------
@@ -313,55 +404,6 @@ class EditReport:
     full_rebuild: bool
     seconds: float
 
-    def to_trace(self) -> RouteTrace:
-        """The repair as a route-style trace (observability tie-in).
-
-        Repair events render and serialize exactly like forwarding
-        decisions: one ``repair`` event for the edit itself, one
-        ``splice`` event for the row surgery, and one ``carry`` event
-        per artifact disposition.
-        """
-        anchor = (
-            self.edit.edge[0] if self.edit.edge is not None else
-            (self.edit.node if self.edit.node is not None else 0)
-        )
-        trace = RouteTrace(
-            scheme="repair", source=anchor, destination=self.edit.describe()
-        )
-        trace.events.append(
-            TraceEvent(
-                node=anchor,
-                phase="repair",
-                entry=f"{self.edit.describe()}: key {self.old_key[:12]} "
-                f"-> {self.new_key[:12]}",
-            )
-        )
-        trace.events.append(
-            TraceEvent(
-                node=anchor,
-                phase="splice",
-                cost=self.seconds,
-                entry=f"dirty={len(self.dirty)} rows_rebuilt="
-                f"{self.rows_rebuilt} rows_reused={self.rows_reused}"
-                + (" (full rebuild)" if self.full_rebuild else ""),
-            )
-        )
-        for verb, counts in (
-            ("carried", self.carried),
-            ("stashed", self.stashed),
-            ("dropped", self.dropped),
-        ):
-            for kind in sorted(counts):
-                trace.events.append(
-                    TraceEvent(
-                        node=anchor,
-                        phase="carry",
-                        entry=f"{verb} {counts[kind]} x {kind}",
-                    )
-                )
-        trace.delivered_to = anchor
-        return trace
-
 
 class BuildContext:
     """Shared-substrate factory: build once, reuse everywhere.
@@ -389,7 +431,6 @@ class BuildContext:
         self._previous: Dict[Tuple, Tuple[Any, FrozenSet[NodeId]]] = {}
         self._cache_dir = cache_dir
         self.stats = BuildStats()
-        self.profile = BuildProfile()
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
 
@@ -422,10 +463,7 @@ class BuildContext:
             return self._memory[full_key]
         artifact = self._disk_load(kind, full_key)
         if artifact is None:
-            # Timings are inclusive: a scheme's builder resolves its
-            # substrates through the context, so their build time shows
-            # up both under their own kind and inside the scheme's.
-            with self.profile.timed("build", kind):
+            with self.stats.timed("build", kind):
                 artifact = builder()
             # A partial rebuild that proves its output identical to the
             # stashed pre-edit artifact *promotes* it (returns the same
@@ -452,9 +490,7 @@ class BuildContext:
         if path is None or not os.path.exists(path):
             return None
         try:
-            with open(path, "rb") as handle, self.profile.timed(
-                "disk_load", kind
-            ):
+            with open(path, "rb") as handle, self.stats.timed("disk_load", kind):
                 stored_key, artifact = pickle.load(handle)
         except Exception:
             # Corrupt, truncated, or stale entries raise a grab-bag of
@@ -471,9 +507,7 @@ class BuildContext:
             return
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "wb") as handle, self.profile.timed(
-                "disk_store", kind
-            ):
+            with open(tmp, "wb") as handle, self.stats.timed("disk_store", kind):
                 pickle.dump((full_key, artifact), handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         except (OSError, pickle.PicklingError, RecursionError):
@@ -601,7 +635,7 @@ class BuildContext:
         cls_name = f"{scheme_cls.__module__}.{scheme_cls.__qualname__}"
         if any(value is _UNKEYABLE for _, value in canonical):
             self.stats.record("scheme", "misses")
-            with self.profile.timed("build", "scheme"):
+            with self.stats.timed("build", "scheme"):
                 return scheme_cls.from_context(self, metric, params, **kwargs)
         key = (self.metric_key(metric), cls_name, params_key(params), canonical)
         prev = self._previous.pop(("scheme",) + key, None)
@@ -697,7 +731,7 @@ class BuildContext:
         full_rebuild = edit.changes_node_set
         for full_key, old_metric in metric_items:
             any_metric = True
-            with self.profile.timed("build", "metric"):
+            with self.stats.timed("build", "metric"):
                 new_metric, metric_dirty = old_metric.updated(graph, edit)
             del self._memory[full_key]
             self._memory[_rekey(full_key, old_key, new_key)] = new_metric
@@ -789,14 +823,14 @@ class BuildContext:
         heals the quarantined nodes with the same per-row Dijkstra
         splice :meth:`apply_edit` uses for churn repair — the repaired
         rows are bit-identical to a cold rebuild — and accounts the
-        work in this context's build stats and profile.
+        work in this context's build ledger (:attr:`stats`).
 
         Returns the number of rows respliced.
         """
         dirty = sorted({int(v) for v in nodes})
         if not dirty:
             return 0
-        with self.profile.timed("build", "metric"):
+        with self.stats.timed("build", "metric"):
             metric.splice_rows(dirty)
         self.stats.fold({"metric_row": (metric.n - len(dirty), len(dirty))})
         return len(dirty)
@@ -827,8 +861,8 @@ class BuildContext:
         return totals
 
     def profile_report(self) -> Dict[str, Any]:
-        """Merged timing + hit/miss report (see ``BuildProfile.report``)."""
-        return self.profile.report(self.stats, substrate=self.substrate_stats())
+        """The ledger's report with a substrate section (``--profile``)."""
+        return self.stats.report(substrate=self.substrate_stats())
 
     # -- maintenance ----------------------------------------------------
 
@@ -839,13 +873,9 @@ class BuildContext:
         self._metric_keys.clear()
 
     def __repr__(self) -> str:
-        kinds = sorted(
-            set(self.stats.hits) | set(self.stats.misses) | set(self.stats.disk_hits)
-        )
         parts = ", ".join(
-            f"{kind}: {self.stats.hits.get(kind, 0)}h/"
-            f"{self.stats.misses.get(kind, 0)}m"
-            for kind in kinds
+            f"{kind}: {row['hits']}h/{row['misses']}m"
+            for kind, row in self.stats.report()["kinds"].items()
         )
         disk = "on" if self._cache_dir else "off"
         return f"BuildContext(disk={disk}, {parts})"

@@ -35,8 +35,6 @@ def parallel_map(
     fn: Callable[[ItemT], ResultT],
     items: Sequence[ItemT],
     jobs: int = 1,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple = (),
 ) -> List[ResultT]:
     """Apply ``fn`` to every item, preserving item order in the result.
 
@@ -44,39 +42,10 @@ def parallel_map(
     (``fn`` and the items must be picklable: use module-level worker
     functions, not closures).  Worker exceptions propagate to the
     caller exactly as in the serial path.
-
-    ``initializer(*initargs)`` runs once per worker process before any
-    item — the place to ship one large shared object (e.g. a routing
-    scheme) across the process boundary once instead of once per item.
-    The serial fallback calls it once in-process, so ``fn`` may rely on
-    the initializer unconditionally.
     """
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(items) < 2:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(item) for item in items]
     workers = min(jobs, len(items))
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def chunk_evenly(items: Sequence[ItemT], chunks: int) -> List[List[ItemT]]:
-    """Split into at most ``chunks`` contiguous, near-equal runs.
-
-    Contiguity is what makes chunked fan-out order-preserving: the
-    concatenation of the returned runs is exactly ``items``.
-    """
-    chunks = min(max(chunks, 1), len(items)) if items else 0
-    if chunks == 0:
-        return []
-    base, extra = divmod(len(items), chunks)
-    runs: List[List[ItemT]] = []
-    start = 0
-    for i in range(chunks):
-        size = base + (1 if i < extra else 0)
-        runs.append(list(items[start : start + size]))
-        start += size
-    return runs

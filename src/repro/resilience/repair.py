@@ -21,7 +21,6 @@ assumed.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Type
@@ -78,28 +77,6 @@ def surviving_graph(degraded: DegradedNetwork) -> nx.Graph:
     return graph
 
 
-def _snapshot(context: BuildContext) -> Tuple[Dict[str, int], Dict[str, int]]:
-    return (
-        copy.deepcopy(context.stats.misses),
-        {
-            kind: context.stats.hits.get(kind, 0)
-            + context.stats.disk_hits.get(kind, 0)
-            for kind in set(context.stats.hits)
-            | set(context.stats.disk_hits)
-        },
-    )
-
-
-def _delta(
-    before: Dict[str, int], after: Dict[str, int]
-) -> Dict[str, int]:
-    return {
-        kind: after.get(kind, 0) - before.get(kind, 0)
-        for kind in set(before) | set(after)
-        if after.get(kind, 0) - before.get(kind, 0)
-    }
-
-
 def rebuild_through_context(
     context: BuildContext,
     graph: nx.Graph,
@@ -117,19 +94,19 @@ def rebuild_through_context(
     """
     if params is None:
         params = SchemeParameters()
-    built_before, reused_before = _snapshot(context)
+    before = context.stats.snapshot()
     start = time.perf_counter()
     metric = context.metric(graph)
     schemes = [
         context.scheme(cls, metric, params) for cls in scheme_classes
     ]
     seconds = time.perf_counter() - start
-    built_after, reused_after = _snapshot(context)
+    built, reused = context.stats.since(before)
     return RepairMeasurement(
         label=label,
         seconds=seconds,
-        built=_delta(built_before, built_after),
-        reused=_delta(reused_before, reused_after),
+        built=built,
+        reused=reused,
         schemes=schemes if keep_schemes else [],
     )
 

@@ -36,53 +36,6 @@ from repro.observability.trace import (
 )
 
 
-#: The scheme under evaluation in this worker process, installed once by
-#: :func:`_init_evaluation_worker` (via the pool initializer) instead of
-#: being pickled into every chunk payload.
-_EVALUATION_SCHEME: Optional["RoutingScheme"] = None
-
-
-def _init_evaluation_worker(scheme: "RoutingScheme") -> None:
-    """Pool initializer: receive the scheme once per worker process."""
-    global _EVALUATION_SCHEME
-    _EVALUATION_SCHEME = scheme
-
-
-def _clear_evaluation_worker() -> None:
-    """Drop the installed scheme again.
-
-    ``parallel_map``'s serial/one-chunk fallback runs the initializer
-    *in the parent process*; without this, the module global would pin a
-    full scheme (and through it the APSP matrix) in the parent forever
-    after a single ``evaluate(jobs=...)`` call.  Worker processes die
-    with their pool, so clearing is only about the in-process fallback.
-    """
-    global _EVALUATION_SCHEME
-    _EVALUATION_SCHEME = None
-
-
-def _evaluate_pairs_chunk(chunk):
-    """Process-pool worker: route one contiguous chunk of pairs.
-
-    Returns ``(stretches, worst)`` where ``worst`` is the chunk's first
-    strictly-largest-stretch :class:`RouteResult` — the same tie rule the
-    serial loop applies, so merging chunks in order reproduces the serial
-    result exactly.  Module-level so it pickles; the scheme itself
-    crosses the process boundary once per worker (initializer), not once
-    per chunk.
-    """
-    scheme = _EVALUATION_SCHEME
-    assert scheme is not None, "worker initializer did not run"
-    stretches: List[float] = []
-    worst: Optional[RouteResult] = None
-    for u, v in chunk:
-        result = scheme.route(u, v)
-        stretches.append(result.stretch)
-        if worst is None or result.stretch > worst.stretch:
-            worst = result
-    return stretches, worst
-
-
 class RoutingScheme(abc.ABC):
     """Abstract base for all routing schemes."""
 
@@ -236,17 +189,12 @@ class RoutingScheme(abc.ABC):
         return None
 
     def evaluate(
-        self,
-        pairs: Optional[Iterable[Tuple[NodeId, NodeId]]] = None,
-        jobs: int = 1,
+        self, pairs: Optional[Iterable[Tuple[NodeId, NodeId]]] = None
     ) -> "SchemeEvaluation":
         """Route every pair and summarize stretch statistics.
 
-        Defaults to all ordered pairs of distinct nodes.  With
-        ``jobs > 1`` the pairs are routed by a process pool in
-        contiguous ordered chunks; the merged statistics are
-        bit-identical to the serial path (same stretch list, same
-        first-strictly-greater worst-pair rule).
+        Defaults to all ordered pairs of distinct nodes.  The worst pair
+        is the first one of strictly largest stretch.
         """
         if pairs is None:
             pairs = (
@@ -255,40 +203,13 @@ class RoutingScheme(abc.ABC):
                 for v in self._metric.nodes
                 if u != v
             )
-        if jobs != 1:
-            pairs = list(pairs)
-        if jobs != 1 and len(pairs) >= 2:
-            from repro.pipeline.parallel import chunk_evenly, parallel_map, resolve_jobs
-
-            chunks = chunk_evenly(pairs, resolve_jobs(jobs))
-            try:
-                outcomes = parallel_map(
-                    _evaluate_pairs_chunk,
-                    chunks,
-                    jobs=jobs,
-                    initializer=_init_evaluation_worker,
-                    initargs=(self,),
-                )
-            finally:
-                # The serial/one-chunk fallback runs the initializer in
-                # this process; do not leave the scheme pinned here.
-                _clear_evaluation_worker()
-            stretches = []
-            worst = None
-            for chunk_stretches, chunk_worst in outcomes:
-                stretches.extend(chunk_stretches)
-                if chunk_worst is not None and (
-                    worst is None or chunk_worst.stretch > worst.stretch
-                ):
-                    worst = chunk_worst
-        else:
-            stretches = []
-            worst = None
-            for u, v in pairs:
-                result = self.route(u, v)
-                stretches.append(result.stretch)
-                if worst is None or result.stretch > worst.stretch:
-                    worst = result
+        stretches = []
+        worst = None
+        for u, v in pairs:
+            result = self.route(u, v)
+            stretches.append(result.stretch)
+            if worst is None or result.stretch > worst.stretch:
+                worst = result
         if not stretches:
             raise ValueError("no pairs evaluated")
         return SchemeEvaluation(

@@ -7,7 +7,7 @@ cold Dijkstra over random edit sequences), the acceptance property —
 a single-edge weight change on every fixture graph rebuilds strictly
 fewer artifacts than a cold build while routing bit-identically — and
 the :class:`ChurnDriver` service loop (determinism, overlay semantics,
-cold-rebuild verification, repair traces).
+cold-rebuild verification).
 """
 
 import networkx as nx
@@ -30,7 +30,11 @@ from repro.pipeline.context import (
 from repro.pipeline.registry import run_experiment
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.resilience.failure_plan import EventKind
-from repro.resilience.repair import measure_edit_repair, measure_repair
+from repro.resilience.repair import (
+    measure_edit_repair,
+    measure_repair,
+    rebuild_through_context,
+)
 from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
 from repro.schemes.nameind_simple import SimpleNameIndependentScheme
 from repro.schemes.shortest_path import ShortestPathScheme
@@ -222,6 +226,29 @@ class TestEditRepairAcceptance:
         )
 
 
+    def test_ledger_since_matches_measured_repair(self):
+        """``BuildStats.since`` over apply_edit + rebuild is the
+        measured incremental repair, plus the one record apply_edit
+        makes for the repaired metric artifact itself."""
+        classes = [ShortestPathScheme, SimpleNameIndependentScheme]
+        graph = random_geometric(40, seed=5)
+        edit = repair_edit_for(graph)
+        _, incremental, measured = measure_edit_repair(
+            graph.copy(), edit, classes, PARAMS
+        )
+        context = BuildContext()
+        rebuild_through_context(context, graph, classes, PARAMS)
+        before = context.stats.snapshot()
+        report = context.apply_edit(graph, edit)
+        rebuild_through_context(context, graph, classes, PARAMS)
+        built, reused = context.stats.since(before)
+        assert not report.full_rebuild
+        assert report.dirty == measured.dirty
+        assert reused.pop("metric") == incremental.reused.pop("metric") + 1
+        assert built == incremental.built
+        assert reused == incremental.reused
+
+
 # -- schemes retention (opt-in) --------------------------------------------
 
 
@@ -312,6 +339,35 @@ class TestChurnDriver:
         with pytest.raises(ChurnVerificationError):
             driver._verify(wrong)
 
+    def test_run_raises_when_warm_scheme_diverges(self):
+        """A warm context handing out wrong routes fails the scheduled
+        cold-rebuild check inside ``run`` itself."""
+
+        class OverstatingContext(BuildContext):
+            def scheme(self, scheme_cls, metric, params=None, **kwargs):
+                built = super().scheme(scheme_cls, metric, params, **kwargs)
+
+                def overstated(source, target):
+                    result = type(built).route(built, source, target)
+                    result.cost += 1.0
+                    return result
+
+                built.route = overstated
+                return built
+
+        driver = ChurnDriver(
+            grid_2d(4),
+            ShortestPathScheme,
+            params=PARAMS,
+            context=OverstatingContext(),
+            seed=3,
+            edits_per_round=2,
+            pairs_per_round=4,
+            verify_every=1,
+        )
+        with pytest.raises(ChurnVerificationError, match="route"):
+            driver.run(edits=2)
+
     def test_overlay_semantics(self):
         stale = grid_2d(3)
         factors = {}
@@ -349,22 +405,6 @@ class TestChurnDriver:
             GraphEdit(kind=EditKind.NODE_LEAVE, node=8), stale, factors
         )
         assert [e.kind for e in leave] == [EventKind.NODE_DOWN]
-
-    def test_repair_traces_render(self):
-        driver = ChurnDriver(
-            grid_2d(4),
-            ShortestPathScheme,
-            params=PARAMS,
-            seed=2,
-            edits_per_round=3,
-            pairs_per_round=4,
-            trace_repairs=True,
-        )
-        report = driver.run(edits=6)
-        assert len(report.repair_traces) == 6
-        for trace in report.repair_traces:
-            assert trace.events
-            assert trace.to_json()
 
     def test_report_serializes(self):
         driver = ChurnDriver(

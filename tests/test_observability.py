@@ -1,4 +1,4 @@
-"""Route-decision tracing and build profiling (repro.observability).
+"""Route-decision tracing (repro.observability) and the build ledger.
 
 The load-bearing property: for every scheme, replaying a recorded trace
 reproduces the returned ``RouteResult.path`` bit-for-bit and the per-leg
@@ -20,7 +20,6 @@ from repro.observability.catalog import (
     resolve_graph,
     resolve_scheme,
 )
-from repro.observability.profile import BuildProfile
 from repro.observability.trace import (
     NULL_TRACER,
     RecordingTracer,
@@ -30,12 +29,11 @@ from repro.observability.trace import (
     format_trace,
     replay,
 )
-from repro.pipeline.context import BuildContext
+from repro.pipeline.context import BuildContext, BuildStats
 from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.failure_plan import EventKind, FailureEvent
 from repro.resilience.router import ResilientRouter
 from repro.runtime.simulator import Demand, TrafficSimulator
-from repro.schemes import base as schemes_base
 from repro.schemes.shortest_path import ShortestPathScheme
 
 
@@ -204,30 +202,61 @@ class TestCatalog:
 # ---------------------------------------------------------------------------
 
 
-class TestBuildProfile:
-    def test_add_and_timed_accumulate(self):
-        profile = BuildProfile()
-        profile.add("build", "metric", 0.25)
-        profile.add("build", "metric", 0.25)
-        with profile.timed("disk_load", "scheme"):
+class TestBuildLedger:
+    def test_timed_accumulates(self, monkeypatch):
+        clock = iter([10.0, 10.25, 20.0, 20.25, 30.0, 30.5])
+        monkeypatch.setattr(
+            "repro.pipeline.context.time.perf_counter", lambda: next(clock)
+        )
+        stats = BuildStats()
+        for _ in range(2):
+            with stats.timed("build", "metric"):
+                pass
+        with stats.timed("disk_load", "scheme"):
             pass
-        assert profile.build_seconds["metric"] == pytest.approx(0.5)
-        assert profile.disk_load_seconds["scheme"] >= 0.0
-        assert profile.total_build_seconds() == pytest.approx(0.5)
+        assert stats.build_seconds == {"metric": pytest.approx(0.5)}
+        assert stats.disk_load_seconds == {"scheme": pytest.approx(0.5)}
+        assert stats.disk_store_seconds == {}
 
-    def test_report_merges_stats(self):
-        profile = BuildProfile()
-        profile.add("build", "metric", 1.0)
-        context = BuildContext()
-        context.stats.record("metric", "misses")
-        context.stats.record("metric", "hits")
-        merged = profile.report(context.stats)
-        row = merged["kinds"]["metric"]
-        assert row["build_seconds"] == pytest.approx(1.0)
-        assert row["hits"] == 1 and row["misses"] == 1
-        json.loads(profile.to_json(context.stats))
+    def test_timed_charges_a_raising_block(self):
+        stats = BuildStats()
+        with pytest.raises(RuntimeError):
+            with stats.timed("build", "metric"):
+                raise RuntimeError("builder failed")
+        assert "metric" in stats.build_seconds
 
-    def test_context_populates_profile(self, tmp_path):
+    def test_report_merges_counters_and_seconds(self):
+        stats = BuildStats(build_seconds={"metric": 1.0})
+        stats.record("metric", "misses")
+        stats.record("metric", "hits")
+        stats.record("pairs", "disk_hits")
+        merged = stats.report()
+        assert merged["total_build_seconds"] == pytest.approx(1.0)
+        assert "substrate" not in merged
+        assert merged["kinds"]["metric"] == {
+            "build_seconds": 1.0,
+            "hits": 1,
+            "misses": 1,
+            "disk_hits": 0,
+        }
+        assert merged["kinds"]["pairs"]["disk_hits"] == 1
+        json.loads(json.dumps(merged))
+
+    def test_since_counts_built_and_reused(self):
+        stats = BuildStats()
+        stats.record("metric", "misses")
+        before = stats.snapshot()
+        stats.record("metric", "hits")
+        stats.record("scheme", "misses")
+        stats.record("scheme", "disk_hits")
+        stats.fold({"metric_row": (3, 2)})
+        built, reused = stats.since(before)
+        assert built == {"scheme": 1, "metric_row": 2}
+        assert reused == {"metric": 1, "scheme": 1, "metric_row": 3}
+        # The snapshot is independent of later counting.
+        assert before.hits == {} and before.misses == {"metric": 1}
+
+    def test_context_populates_ledger(self, tmp_path):
         context = BuildContext(cache_dir=str(tmp_path))
         metric = context.metric(grid_2d(4))
         context.hierarchy(metric)
@@ -243,7 +272,7 @@ class TestBuildProfile:
         assert row["disk_hits"] == 1
         assert row.get("disk_load_seconds", 0.0) >= 0.0
 
-    def test_unkeyable_scheme_path_is_profiled(self, grid_metric):
+    def test_unkeyable_scheme_path_is_timed(self, grid_metric):
         context = BuildContext()
         hierarchy = context.hierarchy(grid_metric)
         from repro.schemes.labeled_nonscalefree import (
@@ -253,7 +282,7 @@ class TestBuildProfile:
         context.scheme(
             NonScaleFreeLabeledScheme, grid_metric, hierarchy=hierarchy
         )
-        assert context.profile.build_seconds.get("scheme", 0.0) > 0.0
+        assert context.stats.build_seconds.get("scheme", 0.0) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +332,3 @@ class TestRuntimeTraces:
         assert replay(trace).matches(result.path, result.cost)
         assert trace.phases() == {"forward": len(result.path) - 1}
         assert router._tracer is NULL_TRACER
-
-
-# ---------------------------------------------------------------------------
-# Evaluation-state hygiene (the module-global leak fix)
-# ---------------------------------------------------------------------------
-
-
-class TestEvaluationStateCleared:
-    def test_serial_fallback_clears_global(self, grid_metric, monkeypatch):
-        scheme = ShortestPathScheme(grid_metric)
-        # Force resolve_jobs(0) -> 1 so parallel_map takes its serial
-        # fallback and runs the initializer *in this process* — the
-        # scenario that used to pin the scheme in the module global.
-        monkeypatch.setattr(
-            "repro.pipeline.parallel.os.cpu_count", lambda: 1
-        )
-        assert schemes_base._EVALUATION_SCHEME is None
-        evaluation = scheme.evaluate([(0, 1), (1, 2), (2, 3)], jobs=0)
-        assert evaluation.pair_count == 3
-        assert schemes_base._EVALUATION_SCHEME is None
-
-    def test_cleared_even_when_routing_raises(self, grid_metric, monkeypatch):
-        scheme = ShortestPathScheme(grid_metric)
-        monkeypatch.setattr(
-            "repro.pipeline.parallel.os.cpu_count", lambda: 1
-        )
-        with pytest.raises(Exception):
-            scheme.evaluate([(0, 10**9), (0, 1)], jobs=0)
-        assert schemes_base._EVALUATION_SCHEME is None

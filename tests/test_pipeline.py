@@ -10,7 +10,7 @@ from repro.experiments.table1 import SCHEMES as TABLE1_SCHEMES
 from repro.graphs.generators import grid_2d, random_geometric
 from repro.pipeline.context import BuildContext, graph_content_key
 from repro.pipeline.registry import REGISTRY, run_experiment
-from repro.pipeline.parallel import chunk_evenly, resolve_jobs
+from repro.pipeline.parallel import resolve_jobs
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
 from repro.schemes.nameind_simple import SimpleNameIndependentScheme
@@ -132,26 +132,7 @@ def test_corrupt_disk_entry_is_rebuilt(tmp_path, graph, junk):
     assert second.stats.built("metric") == 1
 
 
-# -- parallel evaluation ----------------------------------------------------
-
-
-def test_parallel_evaluate_matches_serial(graph):
-    context = BuildContext()
-    metric = context.metric(graph)
-    scheme = context.scheme(
-        ScaleFreeNameIndependentScheme, metric, SchemeParameters(epsilon=0.5)
-    )
-    pairs = context.pairs(metric, 60)
-    serial = scheme.evaluate(pairs)
-    parallel = scheme.evaluate(pairs, jobs=2)
-    assert parallel == serial  # dataclass equality: every field bit-identical
-
-
-def test_chunk_evenly_preserves_order_and_content():
-    items = list(range(13))
-    chunks = chunk_evenly(items, 4)
-    assert [x for chunk in chunks for x in chunk] == items
-    assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
+# -- parallel fan-out ------------------------------------------------------
 
 
 def test_resolve_jobs():
@@ -284,12 +265,40 @@ def test_metric_key_survives_id_reuse():
     assert context.metric_key(fresh) == keys[0]
 
 
-def test_profile_report_shape(graph):
+def test_profile_report_shape(tmp_path, graph):
     context = BuildContext()
     context.metric(graph)
     report = context.profile_report()
-    assert report["kinds"]["metric"]["misses"] == 1
-    assert report["kinds"]["metric"]["build_seconds"] > 0.0
+    assert list(report) == ["total_build_seconds", "kinds", "substrate"]
+    row = report["kinds"]["metric"]
+    assert list(row) == ["build_seconds", "hits", "misses", "disk_hits"]
+    assert row["misses"] == 1
+    assert row["build_seconds"] > 0.0
+    # With a disk cache the store and the load carry their own seconds.
+    cache_dir = str(tmp_path / "cache")
+    stored = BuildContext(cache_dir=cache_dir)
+    stored.metric(graph)
+    row = stored.profile_report()["kinds"]["metric"]
+    assert list(row) == [
+        "build_seconds",
+        "disk_store_seconds",
+        "hits",
+        "misses",
+        "disk_hits",
+    ]
+    assert row["disk_store_seconds"] >= 0.0
+    loaded = BuildContext(cache_dir=cache_dir)
+    loaded.metric(graph)
+    row = loaded.profile_report()["kinds"]["metric"]
+    assert list(row) == [
+        "build_seconds",
+        "disk_load_seconds",
+        "hits",
+        "misses",
+        "disk_hits",
+    ]
+    assert row["disk_hits"] == 1 and row["misses"] == 0
+    assert row["build_seconds"] == 0.0 and row["disk_load_seconds"] >= 0.0
 
 
 def test_metric_strategies_are_distinct_cache_entries(graph):
